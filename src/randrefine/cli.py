@@ -80,7 +80,10 @@ def _measure_from(cfg: dict):
 def _forcing_from(cfg: dict) -> ClosedFormFn:
     if "g" not in cfg:
         raise ConfigError("config lacks a 'g' entry")
-    return fn_from_json(json.dumps(cfg["g"]))
+    try:
+        return fn_from_json(json.dumps(cfg["g"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid 'g' entry: {exc!r}") from exc
 
 
 def _seed(cfg: dict, args) -> int:

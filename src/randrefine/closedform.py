@@ -28,12 +28,60 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erf
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 #: Effective support of a Gaussian, in standard deviations.
 GAUSSIAN_SUPPORT_SIGMAS = 10.0
+
+# Cephes ndtr.c rational approximations, highest power first: x T(x^2)/U(x^2)
+# on |x| < 1, and erfc(x) = exp(-x^2) P(x)/Q(x) on 1 <= x < 6.  From 6 on,
+# erfc(x) < 2.2e-17 is below half an ulp of 1, so erf rounds to +-1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(coefs, v):
+    """``np.polyval(coefs, v)`` updated in place, without its temporaries."""
+    out = np.full_like(v, coefs[0])
+    for c in coefs[1:]:
+        out *= v
+        out += c
+    return out
+
+
+def _erf(x):
+    """Vectorised error function; agrees with ``math.erf`` to 4e-16."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    out = np.sign(x, out=np.empty_like(x))  # +-1 from |x| = 6 on; nan stays
+    small = a < 1.0
+    s = x[small]
+    z = s * s
+    out[small] = s * _horner(_ERF_T, z) / _horner(_ERF_U, z)
+    mid = (a >= 1.0) & (a < 6.0)
+    m = a[mid]
+    erfc = np.exp(-m * m) * _horner(_ERFC_P, m) / _horner(_ERFC_Q, m)
+    out[mid] = np.copysign(1.0 - erfc, x[mid])
+    return out[()]
+
+
+def _require_finite(prim) -> None:
+    if not all(math.isfinite(v) for v in prim.params()):
+        raise ValueError(f"{prim.kind} parameters must be finite, got {prim.params()}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +92,7 @@ class Indicator:
     kind = "indicator"
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.a < self.b:
             raise ValueError(f"Indicator needs a < b, got [{self.a}, {self.b})")
 
@@ -87,6 +136,7 @@ class Triangle:
     kind = "triangle"
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.halfwidth > 0:
             raise ValueError("Triangle needs halfwidth > 0")
 
@@ -132,6 +182,7 @@ class Gaussian:
     kind = "gaussian"
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.stddev > 0:
             raise ValueError("Gaussian needs stddev > 0")
 
@@ -148,7 +199,7 @@ class Gaussian:
     def integral_to(self, x):
         x = np.asarray(x, dtype=float)
         z = (x - self.mean) / (self.stddev * math.sqrt(2.0))
-        return self.stddev * _SQRT2PI * 0.5 * (1.0 + erf(z))
+        return self.stddev * _SQRT2PI * 0.5 * (1.0 + _erf(z))
 
     def mass(self) -> float:
         return self.stddev * _SQRT2PI

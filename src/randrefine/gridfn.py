@@ -7,8 +7,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._compat import trapezoid
-
 
 @dataclass(frozen=True)
 class GridFn:
@@ -66,4 +64,4 @@ class GridFn:
 
     def l1_norm(self) -> float:
         """Trapezoid integral of |values| over the window."""
-        return float(trapezoid(np.abs(self.values), dx=self.step))
+        return float(np.trapezoid(np.abs(self.values), dx=self.step))

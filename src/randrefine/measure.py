@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyMeasure,
+    InvalidMeasure,
     NonPositiveWeight,
     WeightsNotNormalized,
     ZeroScaleAtom,
@@ -76,13 +77,16 @@ class RandomAffineMeasure:
 def build_measure(atoms: Iterable[Sequence[float]]) -> RandomAffineMeasure:
     """Validate, merge and renormalize a list of ``(l, m, p)`` atoms.
 
-    Raises :class:`EmptyMeasure`, :class:`ZeroScaleAtom`,
+    Raises :class:`InvalidMeasure` for a non-finite scale or shift, and
+    :class:`EmptyMeasure`, :class:`ZeroScaleAtom`,
     :class:`NonPositiveWeight` or :class:`WeightsNotNormalized`.
     """
     merged: dict[tuple[float, float], float] = {}
     for atom in atoms:
         l, m, p = (float(v) for v in atom)
         m += 0.0  # canonicalize -0.0
+        if not (math.isfinite(l) and math.isfinite(m)):
+            raise InvalidMeasure(f"atom ({l}, {m}, {p}) has a non-finite scale or shift")
         if l == 0.0:
             raise ZeroScaleAtom(f"atom ({l}, {m}, {p}) has scale 0")
         if not p > 0.0:

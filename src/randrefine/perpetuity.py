@@ -22,7 +22,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ._compat import trapezoid
 from .closedform import ClosedFormFn
 from .errors import EnumerationTooLarge, RegimeMismatch, WindowTooSmall
 from .measure import RandomAffineMeasure, Regime, classify_regime
@@ -326,5 +325,5 @@ def check_cdf_integral_identity(
         raise WindowTooSmall(
             f"support [{lo}, {hi}] of g exceeds the CDF grid [{ts[0]}, {ts[-1]}]"
         )
-    integral = float(trapezoid(g(ts) * phi.cdf_values, ts))
+    integral = float(np.trapezoid(g(ts) * phi.cdf_values, ts))
     return abs(integral - g.mass()) <= tol

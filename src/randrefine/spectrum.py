@@ -38,7 +38,6 @@ from typing import Union
 
 import numpy as np
 
-from ._compat import trapezoid
 from .closedform import ClosedFormFn, zero_mean_check
 from .errors import (
     CriticalRegime,
@@ -465,26 +464,23 @@ def _check_inversion_grids(xs: np.ndarray, ts: np.ndarray):
     return dx, dt
 
 
-def _inverse_direct(values_w, xs, ts):
-    out = np.empty(len(ts), dtype=complex)
-    block = max(1, 4_000_000 // max(len(xs), 1))
-    for start in range(0, len(ts), block):
-        tb = ts[start:start + block]
-        out[start:start + len(tb)] = np.exp(-1j * np.multiply.outer(tb, xs)) @ values_w
-    return out
+def _chirp_z(values_w, x0, dx, t0, dt, m):
+    """``sum_k values_w[k] exp(-i t_j x_k)`` for ``x_k = x0 + k dx`` and
+    ``t_j = t0 + j dt``, j < m, as one Bluestein convolution.
 
-
-def _inverse_recurrence(values_w, xs, ts, dt):
-    # Same trapezoid sum, with the phase vector advanced by one twiddle
-    # multiply per output node instead of a fresh exponential per matrix
-    # entry.  Drift is one rounding per step, ~len(ts)*eps in the phase.
-    phases = np.exp(-1j * ts[0] * xs)
-    twiddle = np.exp(-1j * dt * xs)
-    out = np.empty(len(ts), dtype=complex)
-    for j in range(len(ts)):
-        out[j] = phases @ values_w
-        phases *= twiddle
-    return out
+    ``j k = (j^2 + k^2 - (j - k)^2) / 2`` turns the sum into a convolution
+    of two chirps, evaluated with three FFTs of a power-of-two length.
+    """
+    n = len(values_w)
+    a = dx * dt
+    k = np.arange(n)
+    j = np.arange(m)
+    lag = np.arange(1 - n, m)
+    size = 1 << (n + m - 2).bit_length()
+    y = values_w * np.exp(-1j * (t0 * (x0 + k * dx) + 0.5 * a * k * k))
+    chirp = np.exp(0.5j * a * lag * lag)
+    conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(chirp, size))[n - 1:n - 1 + m]
+    return conv * np.exp(-1j * (x0 * dt * j + 0.5 * a * j * j))
 
 
 def invert_spectrum(
@@ -492,7 +488,6 @@ def invert_spectrum(
     t_grid,
     *,
     check_leakage: bool = True,
-    method: str = "auto",
 ) -> GridFn:
     """Trapezoid inverse transform ``f(t) = (1/2 pi) int exp(-i t x) fhat``.
 
@@ -501,10 +496,9 @@ def invert_spectrum(
     peak so the cut tail is negligible.  The imaginary part left over after
     inversion must stay below 1e-3 of the recovered L1 scale.
 
-    ``method`` is ``"direct"``, ``"recurrence"`` or ``"auto"``: both
-    evaluate the same quadrature, the recurrence advancing the phase vector
-    by one twiddle multiply per node (picked automatically for large grids;
-    the two agree to well under 1e-9).
+    The trapezoid sum between the two uniform grids is a chirp-z transform,
+    evaluated with FFTs in O((n + m) log(n + m)) for n frequencies and m
+    output nodes.
     """
     xs = np.asarray(spec.x_grid, dtype=float)
     vals = np.asarray(spec.values, dtype=complex)
@@ -524,20 +518,11 @@ def invert_spectrum(
     weights[0] = weights[-1] = 0.5 * dx
     values_w = vals * weights / (2.0 * math.pi)
 
-    if method not in ("auto", "direct", "recurrence"):
-        raise ValueError("method must be auto, direct or recurrence")
-    use_recurrence = method == "recurrence" or (
-        method == "auto" and len(xs) * len(ts) > 2 ** 21
-    )
-    raw = (
-        _inverse_recurrence(values_w, xs, ts, dt)
-        if use_recurrence
-        else _inverse_direct(values_w, xs, ts)
-    )
+    raw = _chirp_z(values_w, xs[0], dx, ts[0], dt, len(ts))
 
     real = raw.real
     residue = float(np.max(np.abs(raw.imag)))
-    l1_scale = float(trapezoid(np.abs(real), dx=dt))
+    l1_scale = float(np.trapezoid(np.abs(real), dx=dt))
     if l1_scale > 0.0 and residue >= 1e-3 * l1_scale:
         raise ImaginaryResidueTooLarge(
             f"imaginary residue {residue:.3e} vs L1 scale {l1_scale:.3e}"

@@ -23,7 +23,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._compat import trapezoid
 from .closedform import ClosedFormFn, affine_image
 from .errors import SymmetryViolated
 from .gridfn import GridFn
@@ -123,7 +122,7 @@ def residual_time(
     for l, m, p in measure.atoms:
         r = r - p * abs(l) * np.asarray(f(l * xs - m), dtype=float)
     sup = float(np.max(np.abs(r)))
-    l1 = float(trapezoid(np.abs(r), xs))
+    l1 = float(np.trapezoid(np.abs(r), xs))
     return ResidualReport(l1, sup, _tolerance_budget(measure, f, g))
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import randrefine as rr
-from randrefine._compat import trapezoid
 from randrefine.measure import FIXED_POINT_RTOL
 
 from conftest import staircase_cdf
@@ -60,7 +59,7 @@ def test_c03_manufactured_recovery_contractive():
     assert spec.truncation.converged
     ts = np.linspace(-10.0, 10.0, 20001)
     recovered = rr.invert_spectrum(spec, ts)
-    rel_l1 = trapezoid(np.abs(recovered.values - f(ts)), ts) / trapezoid(np.abs(f(ts)), ts)
+    rel_l1 = np.trapezoid(np.abs(recovered.values - f(ts)), ts) / np.trapezoid(np.abs(f(ts)), ts)
     assert rel_l1 <= 0.05
     _report(3, f"contractive recovery, rel L1 {rel_l1:.2e}", started, 30.0)
 
@@ -75,7 +74,7 @@ def test_c04_manufactured_recovery_expansive():
     assert spec.truncation.converged
     ts = np.linspace(-2.0, 5.0, 28001)
     recovered = rr.invert_spectrum(spec, ts)
-    rel_l1 = trapezoid(np.abs(recovered.values - f(ts)), ts) / trapezoid(np.abs(f(ts)), ts)
+    rel_l1 = np.trapezoid(np.abs(recovered.values - f(ts)), ts) / np.trapezoid(np.abs(f(ts)), ts)
     assert rel_l1 <= 0.08
     _report(4, f"expansive recovery, rel L1 {rel_l1:.2e} (Gibbs allowance)", started, 60.0)
 
@@ -154,8 +153,8 @@ def test_c07_picard_fourier_cross_check():
     spec = rr.solve_spectrum(measure, g, 0.0, rr.symmetric_grid(40.0, 4097))
     ts = np.linspace(-10.0, 10.0, 20001)
     spectral = rr.invert_spectrum(spec, ts)
-    rel_l1 = (trapezoid(np.abs(candidate(ts) - spectral.values), ts)
-              / trapezoid(np.abs(spectral.values), ts))
+    rel_l1 = (np.trapezoid(np.abs(candidate(ts) - spectral.values), ts)
+              / np.trapezoid(np.abs(spectral.values), ts))
     assert rel_l1 <= 0.05
 
     probes = np.linspace(-8.0, 8.0, 801) + 4.1e-4

@@ -57,6 +57,17 @@ class TestClassify:
         assert main(["classify", str(cfg)]) == 2
 
 
+    @pytest.mark.parametrize("atom", [
+        {"l": float("nan"), "m": 1, "p": 1.0},
+        {"l": float("inf"), "m": 1, "p": 1.0},
+        {"l": 0.5, "m": float("-inf"), "p": 1.0},
+    ])
+    def test_nonfinite_measure_exit_two(self, tmp_path, atom):
+        # json writes and reads NaN and Infinity, so configs can carry them
+        cfg = write_config(tmp_path, measure=[atom])
+        assert main(["classify", str(cfg)]) == 2
+
+
 class TestSolve:
     def test_contractive_solve_writes_tables_and_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -92,6 +103,11 @@ class TestSolve:
                {"coef": -1.0, "kind": "triangle", "params": [-1, 1]}],
         )
         assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("params", [[float("nan"), 1], [0, float("inf")], [0]])
+    def test_invalid_forcing_parameters_exit_one(self, tmp_path, params):
+        cfg = write_config(tmp_path, g=[{"coef": 1.0, "kind": "gaussian", "params": params}])
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
 
     def test_nonzero_mean_exit_four(self, tmp_path):
         cfg = write_config(

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randrefine as rr
-from randrefine._compat import trapezoid
-from randrefine.closedform import Gaussian, Indicator, Triangle
+from randrefine.closedform import Gaussian, Indicator, Triangle, _erf
 
 
 def quadrature_transform(fn, x, points=100_000):
@@ -25,7 +27,7 @@ def quadrature_transform(fn, x, points=100_000):
         shrink = 1e-9 * (d - c)
         vals[0] = fn(c + shrink)
         vals[-1] = fn(d - shrink)
-        total += trapezoid(np.exp(1j * ts * x) * vals, ts)
+        total += np.trapezoid(np.exp(1j * ts * x) * vals, ts)
     return total
 
 
@@ -126,6 +128,51 @@ class TestAntiderivative:
         assert np.all(np.diff(fn.antiderivative(xs)) >= -1e-15)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("make, args", [
+        (rr.indicator, (0, math.inf)), (rr.indicator, (-math.inf, 0)),
+        (rr.triangle, (0, math.inf)), (rr.triangle, (math.nan, 1)),
+        (rr.gaussian, (math.nan, 1)), (rr.gaussian, (0, math.inf)),
+    ])
+    def test_nonfinite_parameters_rejected(self, make, args):
+        with pytest.raises(ValueError):
+            make(*args)
+
+
+class TestErf:
+    def test_matches_math_erf_on_dense_grid(self):
+        xs = np.linspace(-10, 10, 200_001)
+        expected = np.array([math.erf(x) for x in xs])
+        assert np.max(np.abs(_erf(xs) - expected)) <= 4.5e-16
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 6.0, -6.0,
+                                   8.0, -8.0, 30.0, -30.0, math.inf, -math.inf])
+    def test_edges(self, x):
+        got = _erf(x)
+        assert abs(got - math.erf(x)) <= 4.5e-16
+        assert math.copysign(1.0, got) == math.copysign(1.0, x)
+
+    def test_nan_propagates(self):
+        assert math.isnan(_erf(math.nan))
+
+    def test_exactly_odd(self):
+        xs = np.concatenate([np.linspace(0, 10, 100_001), np.geomspace(1e-300, 1e300, 601)])
+        assert np.array_equal(_erf(-xs), -_erf(xs))
+
+    def test_scalar_gives_float(self):
+        assert isinstance(_erf(0.5), float)
+        assert isinstance(rr.gaussian(0, 1).antiderivative(0.3), float)
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(rr.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, randrefine; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestZeroMean:
     def test_step_pair_true(self):
         assert rr.zero_mean_check(rr.indicator(0, 1) - rr.indicator(1, 2))
@@ -190,14 +237,14 @@ class TestL1Bound:
         for fn in (rr.indicator(0, 2), rr.triangle(1, 0.5), rr.gaussian(0, 1)):
             lo, hi = fn.support()
             ts = np.linspace(lo, hi, 200_001)
-            measured = trapezoid(np.abs(fn(ts)), ts)
+            measured = np.trapezoid(np.abs(fn(ts)), ts)
             assert measured == pytest.approx(fn.l1_upper_bound(), rel=1e-3)
 
     def test_upper_bounds_combinations(self):
         fn = rr.indicator(0, 1) - rr.indicator(0.5, 1.5)
         lo, hi = fn.support()
         ts = np.linspace(lo, hi, 100_001)
-        assert trapezoid(np.abs(fn(ts)), ts) <= fn.l1_upper_bound() + 1e-6
+        assert np.trapezoid(np.abs(fn(ts)), ts) <= fn.l1_upper_bound() + 1e-6
 
 
 class TestSerialization:

@@ -44,6 +44,14 @@ class TestBuildMeasure:
         with pytest.raises(rr.ZeroScaleAtom):
             rr.build_measure([(0, 1, 1.0)])
 
+    @pytest.mark.parametrize("atom", [
+        (math.nan, 1, 1.0), (math.inf, 1, 1.0), (-math.inf, 1, 1.0),
+        (2, math.nan, 1.0), (2, math.inf, 1.0), (0.5, -math.inf, 1.0),
+    ])
+    def test_nonfinite_scale_or_shift_rejected(self, atom):
+        with pytest.raises(rr.InvalidMeasure):
+            rr.build_measure([atom])
+
     def test_empty_rejected(self):
         with pytest.raises(rr.EmptyMeasure):
             rr.build_measure([])

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 import randrefine as rr
-from randrefine._compat import trapezoid
+
+
+def _inverse_direct(values_w, xs, ts):
+    """Reference oracle: the trapezoid inverse as one dense matrix product,
+    ``sum_k values_w[k] exp(-i t_j x_k)``, blocked over output nodes."""
+    out = np.empty(len(ts), dtype=complex)
+    block = max(1, 4_000_000 // max(len(xs), 1))
+    for start in range(0, len(ts), block):
+        tb = ts[start:start + block]
+        out[start:start + len(tb)] = np.exp(-1j * np.multiply.outer(tb, xs)) @ values_w
+    return out
 
 
 def single_atom_term(l, m, ghat, x, n):
@@ -241,7 +251,7 @@ class TestInvertSpectrum:
         with pytest.raises(rr.SpectralLeakage):
             rr.invert_spectrum(spec, ts)
         rec = rr.invert_spectrum(spec, ts, check_leakage=False)
-        l1 = trapezoid(np.abs(rec.values - f(ts)), ts)
+        l1 = np.trapezoid(np.abs(rec.values - f(ts)), ts)
         # frozen from a grid-converged run; scales like log(width)/width of
         # the frequency window (4 unit jumps)
         assert l1 == pytest.approx(0.0515, rel=0.05)
@@ -260,23 +270,33 @@ class TestInvertSpectrum:
         with pytest.raises(ValueError):
             rr.invert_spectrum(spec, np.linspace(-1, 1, 5))
 
-    def test_recurrence_matches_direct(self):
-        f = rr.gaussian(0.5, 1.2) - 0.5 * rr.triangle(-1, 2)
-        xs = np.linspace(-30, 30, 2048)
+    @pytest.mark.parametrize("f, xs, ts", [
+        (rr.gaussian(0.5, 1.2) - 0.5 * rr.triangle(-1, 2),
+         np.linspace(-30, 30, 2048), np.linspace(-6, 6, 1200)),
+        # a small grid, the size of the exact mixed-scale solves
+        (rr.gaussian(-0.5, 1.1) - rr.gaussian(1.0, 1.1),
+         rr.symmetric_grid(5.6 * math.pi, 113), np.linspace(-8, 8, 1601)),
+        # even-length frequency grid, odd-length output grid
+        (rr.gaussian(0.5, 1.2) - 0.5 * rr.triangle(-1, 2),
+         np.linspace(-30, 30, 1000), np.linspace(-5, 7, 1201)),
+    ], ids=["2048x1200", "113x1601", "1000x1201"])
+    def test_chirp_z_matches_direct(self, f, xs, ts):
         spec = rr.Spectrum(xs, f.fourier(xs), f.mass(), rr.TruncationReport(0, 0, True))
-        ts = np.linspace(-6, 6, 1200)
-        direct = rr.invert_spectrum(spec, ts, method="direct")
-        fast = rr.invert_spectrum(spec, ts, method="recurrence")
-        assert np.max(np.abs(direct.values - fast.values)) <= 1e-9
+        dx = (xs[-1] - xs[0]) / (len(xs) - 1)
+        weights = np.full(len(xs), dx)
+        weights[0] = weights[-1] = 0.5 * dx
+        direct = _inverse_direct(spec.values * weights / (2.0 * math.pi), xs, ts)
+        fast = rr.invert_spectrum(spec, ts)
+        assert np.max(np.abs(direct.real - fast.values)) <= 1e-9
 
-    def test_recurrence_accurate_at_scale(self):
-        # at grids where the phase recurrence is the auto choice, spot-check
-        # it against an extended-precision evaluation of the same sum
+    def test_chirp_z_accurate_at_scale(self):
+        # spot-check a large grid against an extended-precision evaluation
+        # of the same sum
         f = rr.indicator(0, 1) + rr.indicator(2, 3)
         xs = rr.symmetric_grid(2560.0, 32769)
         spec = rr.Spectrum(xs, f.fourier(xs), f.mass(), rr.TruncationReport(0, 0, True))
         ts = np.linspace(-2.0, 5.0, 28001)
-        fast = rr.invert_spectrum(spec, ts, method="recurrence")
+        fast = rr.invert_spectrum(spec, ts)
 
         dx = np.longdouble(xs[1] - xs[0])
         weights = np.full(len(xs), dx, dtype=np.longdouble)
