@@ -71,10 +71,22 @@ def _load_config(path: str) -> tuple[dict, str]:
     return cfg, hashlib.sha256(raw).hexdigest()[:12]
 
 
+def _value(section: dict, key: str, default, kind=float):
+    """``kind(section[key])``, or ``default`` when the key is absent or null."""
+    try:
+        value = section.get(key)
+        return default if value is None else kind(value)
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key!r} entry: {exc}") from exc
+
+
 def _measure_from(cfg: dict):
     if "measure" not in cfg:
         raise ConfigError("config lacks a 'measure' entry")
-    return measure_from_json(json.dumps(cfg["measure"]))
+    try:
+        return measure_from_json(json.dumps(cfg["measure"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid 'measure' entry: {exc!r}") from exc
 
 
 def _forcing_from(cfg: dict) -> ClosedFormFn:
@@ -87,9 +99,7 @@ def _forcing_from(cfg: dict) -> ClosedFormFn:
 
 
 def _seed(cfg: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
+    return args.seed if args.seed is not None else _value(cfg, "seed", 0, int)
 
 
 def _write_table(
@@ -123,31 +133,31 @@ def _provenance(config_hash: str, seed: int) -> str:
     return f"randrefine {__version__} seed={seed} config={config_hash}"
 
 
-def _strategy(cfg: dict, args, seed: int):
-    solver = cfg.get("solver", {})
-    name = getattr(args, "strategy", None) or solver.get("strategy", "exact")
+def _strategy(solver: dict, args, seed: int):
+    name = args.strategy or _value(solver, "strategy", "exact", str)
     if name == "exact":
         return EXACT
     if name == "mc":
-        samples = getattr(args, "samples", None) or solver.get("samples", 100_000)
-        return MonteCarloStrategy(sample_count=int(samples), seed=seed)
+        samples = _value(solver, "samples", 100_000, int) if args.samples is None else args.samples
+        try:
+            return MonteCarloStrategy(sample_count=samples, seed=seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown strategy {name!r}")
 
 
-def _x_grid(cfg: dict):
-    grid = cfg.get("grid", {})
-    x_max = float(grid.get("x_max", 40.0))
-    points = int(grid.get("x_points", 4097))
+def _x_grid(section: dict, x_max: float, points: int):
+    x_max = _value(section, "x_max", x_max)
+    points = _value(section, "x_points", points, int)
     if points % 2 == 1:
         return symmetric_grid(x_max, points)
     return np.linspace(-x_max, x_max, points)
 
 
-def _t_grid(cfg: dict):
-    grid = cfg.get("grid", {})
-    t_min = float(grid.get("t_min", -10.0))
-    t_max = float(grid.get("t_max", 10.0))
-    step = float(grid.get("t_step", 1e-3))
+def _t_grid(section: dict):
+    t_min = _value(section, "t_min", -10.0)
+    t_max = _value(section, "t_max", 10.0)
+    step = _value(section, "t_step", 1e-3)
     n = int(round((t_max - t_min) / step)) + 1
     return np.linspace(t_min, t_max, n)
 
@@ -171,20 +181,18 @@ def cmd_solve(args) -> int:
     seed = _seed(cfg, args)
     solver = cfg.get("solver", {})
     report = classify_regime(measure)
-    if args.mass is not None:
-        mass = args.mass
-    elif "mass" in solver:
-        mass = float(solver["mass"])
-    else:
+    mass = args.mass if args.mass is not None else _value(solver, "mass", None)
+    if mass is None:
         mass = 0.0 if report.regime is Regime.LOG_CONTRACTIVE else 1.0
-    eps = args.eps if args.eps is not None else float(solver.get("eps", 1e-10))
-    n_max = args.n_max if args.n_max is not None else int(solver.get("n_max", 60))
+    eps = args.eps if args.eps is not None else _value(solver, "eps", 1e-10)
+    n_max = args.n_max if args.n_max is not None else _value(solver, "n_max", 60, int)
 
-    xs = _x_grid(cfg)
-    ts = _t_grid(cfg)
+    grid = cfg.get("grid", {})
+    xs = _x_grid(grid, 40.0, 4097)
+    ts = _t_grid(grid)
     spec = solve_spectrum(
         measure, g, mass, xs,
-        strategy=_strategy(cfg, args, seed),
+        strategy=_strategy(solver, args, seed),
         eps=eps, n_max=n_max, regime_report=report,
     )
     recovered = invert_spectrum(spec, ts)
@@ -210,9 +218,9 @@ def cmd_iterate(args) -> int:
     seed = _seed(cfg, args)
     it = cfg.get("iterate", {})
     window = tuple(args.window) if args.window else tuple(it.get("window", (-10.0, 10.0)))
-    step = args.step if args.step is not None else float(it.get("step", 1e-3))
-    tol = args.tol if args.tol is not None else float(it.get("tol", 1e-9))
-    max_iter = args.max_iter if args.max_iter is not None else int(it.get("max_iter", 500))
+    step = args.step if args.step is not None else _value(it, "step", 1e-3)
+    tol = args.tol if args.tol is not None else _value(it, "tol", 1e-9)
+    max_iter = args.max_iter if args.max_iter is not None else _value(it, "max_iter", 500, int)
 
     result = picard_iterate(measure, g, window, step, tol, max_iter)
     deriv = differentiate(result.cdf)
@@ -270,34 +278,35 @@ def cmd_perpetuity(args) -> int:
     measure = _measure_from(cfg)
     seed = _seed(cfg, args)
     pcfg = cfg.get("perpetuity", {})
-    what = args.what or pcfg.get("what", "auto")
+    what = args.what or _value(pcfg, "what", "auto", str)
     if what == "auto":
         regime = classify_regime(measure).regime
         what = "charfn" if regime is Regime.LOG_EXPANSIVE else "cdf"
-    samples = args.samples or int(pcfg.get("samples", 100_000))
-    depth = args.depth if args.depth is not None else pcfg.get("depth")
+    samples = args.samples if args.samples is not None else _value(pcfg, "samples", 100_000, int)
+    depth = args.depth if args.depth is not None else _value(pcfg, "depth", None, int)
 
     prov = _provenance(config_hash, seed)
     out = Path(args.out_dir)
-    if what == "charfn":
-        x_max = float(pcfg.get("x_max", 10.0))
-        points = int(pcfg.get("x_points", 201))
-        xs = symmetric_grid(x_max, points) if points % 2 else np.linspace(-x_max, x_max, points)
-        est = estimate_charfn(measure, xs, samples, depth=depth, rng_seed=seed)
-        _write_table(out, "charfn", ["x", "re", "im", "stderr"],
-                     [est.charfn_x, est.charfn_values.real,
-                      est.charfn_values.imag, est.charfn_stderr],
-                     prov, args.format)
-    elif what == "cdf":
-        t_min = float(pcfg.get("t_min", -10.0))
-        t_max = float(pcfg.get("t_max", 10.0))
-        points = int(pcfg.get("t_points", 2001))
-        ts = np.linspace(t_min, t_max, points)
-        est = estimate_cdf(measure, ts, samples, depth=depth, rng_seed=seed)
-        _write_table(out, "perpetuity_cdf", ["t", "phi"],
-                     [est.cdf_t, est.cdf_values], prov, args.format)
-    else:
-        raise ConfigError(f"unknown perpetuity output {what!r}")
+    try:
+        if what == "charfn":
+            xs = _x_grid(pcfg, 10.0, 201)
+            est = estimate_charfn(measure, xs, samples, depth=depth, rng_seed=seed)
+            _write_table(out, "charfn", ["x", "re", "im", "stderr"],
+                         [est.charfn_x, est.charfn_values.real,
+                          est.charfn_values.imag, est.charfn_stderr],
+                         prov, args.format)
+        elif what == "cdf":
+            t_min = _value(pcfg, "t_min", -10.0)
+            t_max = _value(pcfg, "t_max", 10.0)
+            points = _value(pcfg, "t_points", 2001, int)
+            ts = np.linspace(t_min, t_max, points)
+            est = estimate_cdf(measure, ts, samples, depth=depth, rng_seed=seed)
+            _write_table(out, "perpetuity_cdf", ["t", "phi"],
+                         [est.cdf_t, est.cdf_values], prov, args.format)
+        else:
+            raise ConfigError(f"unknown perpetuity output {what!r}")
+    except ValueError as exc:  # a sample count, depth or grid size out of range
+        raise ConfigError(str(exc)) from exc
     print(json.dumps({"samples": samples, "depth": est.depth}, sort_keys=True))
     return EXIT_OK
 

@@ -237,6 +237,8 @@ def estimate_charfn(
     refused unless ``allow_divergent`` is set, in which case the estimate
     carries ``divergent_regime=True``.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample count must be >= 1, got {sample_count}")
     report = classify_regime(measure)
     divergent = report.regime is not Regime.LOG_EXPANSIVE
     if divergent and not allow_divergent:
@@ -286,6 +288,8 @@ def estimate_cdf(
     (capped at 200).  The expansive regime is refused outright; the
     critical regime only with ``allow_divergent``.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample count must be >= 1, got {sample_count}")
     report = classify_regime(measure)
     if report.regime is Regime.LOG_EXPANSIVE:
         raise RegimeMismatch("backward iterates diverge in the expansive regime")

@@ -25,13 +25,15 @@ solver refuses it; the verifier still works there.
 
 Exact evaluation of T_n walks atom paths.  Identical scales make the path
 average factor exactly (the phase increments are then independent), which
-is what keeps deep series affordable; otherwise states are merged and the
-walk is capped.  A Monte Carlo strategy mirrors every exact computation for
-cross-validation.
+keeps deep series affordable; otherwise states are merged and the walk is
+capped.  Monte Carlo sampling mirrors both for cross-validation.  Every
+route yields T_n depth by depth to one summation loop, on |x| only: for
+real g, T_n[g](-x) = conj(T_n[g](x)).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -62,6 +64,10 @@ class ExactStrategy:
 class MonteCarloStrategy:
     sample_count: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
 
 
 Strategy = Union[ExactStrategy, MonteCarloStrategy]
@@ -151,15 +157,7 @@ def _state_walk(measure, cap: int):
         yield prods, sums, weights
 
 
-def _phase_states(measure, n: int, cap: int):
-    walk = _state_walk(measure, cap)
-    for _ in range(n - 1):
-        next(walk)
-    return next(walk)
-
-
 def _term_from_states(h: ClosedFormFn, xs, prods, sums, weights) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.zeros(len(xs), dtype=complex)
     block = max(1, 4_000_000 // max(len(xs), 1))
     for start in range(0, len(prods), block):
@@ -187,19 +185,12 @@ def series_term(
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(strategy, MonteCarloStrategy):
-        value, _ = series_term_mc(measure, h, x, n, strategy.sample_count, strategy.seed)
-        return value
-    l0 = _deterministic_scale(measure)
-    if l0 is not None:
-        xs = np.atleast_1d(float(x))
-        c = np.ones(1, dtype=complex)
-        pw = 1.0
-        for _ in range(n):
-            pw *= l0
-            c = c * _shift_charfn(measure, xs / pw)
-        return complex((c * h.fourier(xs / pw))[0])
-    prods, sums, weights = _phase_states(measure, n, strategy.state_cap)
-    return complex(_term_from_states(h, [x], prods, sums, weights)[0])
+        return series_term_mc(measure, h, x, n, strategy.sample_count, strategy.seed)[0]
+    xs = np.atleast_1d(float(x))
+    if _deterministic_scale(measure) is None:  # one term, at the last depth only
+        states = next(itertools.islice(_state_walk(measure, strategy.state_cap), n - 1, None))
+        return complex(_term_from_states(h, xs, *states)[0])
+    return complex(next(itertools.islice(_terms(measure, h, xs, strategy, n), n - 1, None))[0])
 
 
 def series_term_mc(
@@ -226,73 +217,65 @@ def series_term_mc(
 # series summation
 # ---------------------------------------------------------------------------
 
-def _series_grid_deterministic(measure, g, xs, eps, n_max, l0):
-    total = np.zeros(len(xs), dtype=complex)
+def _terms_shared(measure, h, xs, l0):
+    """T_n[h] on ``xs``, n = 1, 2, ..., for the single scale ``l0``."""
     cumulative = np.ones(len(xs), dtype=complex)
     pw = 1.0
-    small_run = 0
-    terms_used = 0
-    last_max = math.inf
-    for n in range(1, n_max + 1):
+    while True:
         pw *= l0
         cumulative *= _shift_charfn(measure, xs / pw)
-        term = cumulative * g.fourier(xs / pw)
-        total += term
-        terms_used = n
-        last_max = float(np.max(np.abs(term))) if len(term) else 0.0
-        small_run = small_run + 1 if last_max < eps else 0
-        if small_run >= _CONSECUTIVE_SMALL:
-            return total, TruncationReport(terms_used, last_max, True)
-    return total, TruncationReport(terms_used, last_max, False)
+        yield cumulative * h.fourier(xs / pw)
 
 
-def _series_grid_states(measure, g, xs, eps, n_max, cap):
-    walk = _state_walk(measure, cap)
-    total = np.zeros(len(xs), dtype=complex)
-    small_run = 0
-    terms_used = 0
-    last_max = math.inf
-    for n in range(1, n_max + 1):
-        prods, sums, weights = next(walk)
-        term = _term_from_states(g, xs, prods, sums, weights)
-        total += term
-        terms_used = n
-        last_max = float(np.max(np.abs(term))) if len(term) else 0.0
-        small_run = small_run + 1 if last_max < eps else 0
-        if small_run >= _CONSECUTIVE_SMALL:
-            return total, TruncationReport(terms_used, last_max, True)
-    return total, TruncationReport(terms_used, last_max, False)
+def _terms_mc(measure, h, xs, n_max, sample_count, seed):
+    """Monte Carlo estimates of T_n[h] on ``xs`` for n = 1 .. n_max.
 
-
-def _series_grid_mc(measure, g, xs, eps, n_max, sample_count, seed):
+    Every path is drawn before the first depth is evaluated, so no estimate
+    depends on where the caller stops, and the running scale product and
+    phase sum of each sample equal ``np.cumprod`` / ``np.cumsum`` bit for
+    bit.  Indices are stored depth-major in the smallest integer type.
+    """
     rng = generator(seed)
     ls, ms = measure.scales, measure.shifts
-    terms = np.zeros((n_max, len(xs)), dtype=complex)
     rows = max(1, 2_000_000 // max(n_max, 1))
-    done = 0
-    while done < sample_count:
+    chunks = []  # (indices, running product, running phase sum)
+    for done in range(0, sample_count, rows):
         take = min(rows, sample_count - done)
         idx = rng.choice(len(ls), size=(take, n_max), p=measure.weights)
-        prods = np.cumprod(ls[idx], axis=1)
-        sums = np.cumsum(ms[idx] / prods, axis=1)
-        xblock = max(1, 2_000_000 // take)
-        for n in range(n_max):
+        idx = np.ascontiguousarray(idx.T, dtype=np.min_scalar_type(len(ls) - 1))
+        chunks.append((idx, np.ones(take), np.zeros(take)))
+    for n in range(n_max):
+        term = np.zeros(len(xs), dtype=complex)
+        for idx, p, s in chunks:
+            p *= ls[idx[n]]
+            s += ms[idx[n]] / p
+            xblock = max(1, 2_000_000 // len(p))
             for start in range(0, len(xs), xblock):
                 xb = xs[start:start + xblock]
-                phases = np.exp(1j * np.multiply.outer(xb, sums[:, n]))
-                hh = g.fourier(np.multiply.outer(xb, 1.0 / prods[:, n]))
-                terms[n, start:start + len(xb)] += (phases * hh).sum(axis=1)
-        done += take
-    terms /= sample_count
+                phases = np.exp(1j * np.multiply.outer(xb, s))
+                hh = h.fourier(np.multiply.outer(xb, 1.0 / p))
+                term[start:start + len(xb)] += (phases * hh).sum(axis=1)
+        yield term / sample_count
 
-    total = np.zeros(len(xs), dtype=complex)
+
+def _terms(measure, h, xs, strategy, n_max):
+    """The path averages T_1[h], T_2[h], ... on ``xs``, one array per depth."""
+    if isinstance(strategy, MonteCarloStrategy):
+        return _terms_mc(measure, h, xs, n_max, strategy.sample_count, strategy.seed)
+    l0 = _deterministic_scale(measure)
+    if l0 is not None:
+        return _terms_shared(measure, h, xs, l0)
+    return (_term_from_states(h, xs, *s) for s in _state_walk(measure, strategy.state_cap))
+
+
+def _sum_terms(terms, size, eps, n_max):
+    total = np.zeros(size, dtype=complex)
     small_run = 0
     terms_used = 0
     last_max = math.inf
-    for n in range(n_max):
-        total += terms[n]
-        terms_used = n + 1
-        last_max = float(np.max(np.abs(terms[n])))
+    for terms_used, term in zip(range(1, n_max + 1), terms):
+        total += term
+        last_max = float(np.max(np.abs(term))) if size else 0.0
         small_run = small_run + 1 if last_max < eps else 0
         if small_run >= _CONSECUTIVE_SMALL:
             return total, TruncationReport(terms_used, last_max, True)
@@ -309,20 +292,24 @@ def sum_series_grid(
 ) -> tuple[np.ndarray, TruncationReport]:
     """Sum the path-average series over a frequency grid.
 
-    Terms are added until the grid maximum of |T_n[g]| stays below ``eps``
-    for three consecutive depths (robust against oscillatory terms), or
-    ``n_max`` is reached, which is flagged as non-convergence in the report
-    rather than raised.
+    Every route (shared-scale product, merged state walk, Monte Carlo)
+    feeds one stopping rule: terms are added until the grid maximum of
+    |T_n[g]| stays below ``eps`` for three consecutive depths (robust
+    against oscillatory terms), or ``n_max`` is reached, which is flagged
+    as non-convergence in the report rather than raised.
+
+    The terms are evaluated once per distinct ``|x|``; since ``g`` is real,
+    ``T_n[g](-x) = conj(T_n[g](x))`` and the negative frequencies are
+    filled in by conjugation.  Monte Carlo draws every path before the
+    first term, so stopping early changes how many depths are computed,
+    never an estimate.
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if isinstance(strategy, MonteCarloStrategy):
-        return _series_grid_mc(
-            measure, g, xs, eps, n_max, strategy.sample_count, strategy.seed
-        )
-    l0 = _deterministic_scale(measure)
-    if l0 is not None:
-        return _series_grid_deterministic(measure, g, xs, eps, n_max, l0)
-    return _series_grid_states(measure, g, xs, eps, n_max, strategy.state_cap)
+    half, inverse = np.unique(np.abs(xs), return_inverse=True)
+    terms = _terms(measure, g, half, strategy, n_max)
+    total, report = _sum_terms(terms, len(half), eps, n_max)
+    values = total[inverse]
+    return np.where(xs < 0, values.conj(), values), report
 
 
 def sum_series(

@@ -68,6 +68,27 @@ class TestClassify:
         assert main(["classify", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, entries", [
+    ("classify", {"measure": [{"l": 0.5, "p": 1.0}]}),
+    ("classify", {"measure": [{"l": "x", "m": 1.0, "p": 1.0}]}),
+    ("classify", {"measure": {"l": 0.5, "m": 1.0, "p": 1.0}}),
+    ("solve", {"grid": {"x_points": "many"}}),
+    ("solve", {"grid": {"t_step": [0.01]}}),
+    ("solve", {"grid": [40.0, 4097]}),
+    ("solve", {"seed": "forty-two"}),
+    ("solve", {"solver": {"strategy": "mc", "samples": "lots"}}),
+    ("solve", {"solver": {"eps": "small"}}),
+    ("iterate", {"iterate": {"max_iter": "x"}}),
+    ("perpetuity", {"perpetuity": {"t_points": float("inf")}}),
+], ids=["atom-lacks-m", "text-scale", "measure-object", "text-x-points",
+        "list-t-step", "grid-list", "text-seed", "text-samples", "text-eps",
+        "text-max-iter", "infinite-t-points"])
+def test_malformed_config_value_exit_one(tmp_path, capsys, command, entries):
+    cfg = write_config(tmp_path, **entries)
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSolve:
     def test_contractive_solve_writes_tables_and_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -108,6 +129,14 @@ class TestSolve:
     def test_invalid_forcing_parameters_exit_one(self, tmp_path, params):
         cfg = write_config(tmp_path, g=[{"coef": 1.0, "kind": "gaussian", "params": params}])
         assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("flags, solver", [
+        (["--strategy", "mc", "--samples", "0"], {}),
+        ([], {"strategy": "mc", "samples": -5}),
+    ], ids=["flag-zero", "config-negative"])
+    def test_nonpositive_samples_exit_one(self, tmp_path, flags, solver):
+        cfg = write_config(tmp_path, solver=solver)
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out"), *flags]) == 1
 
     def test_nonzero_mean_exit_four(self, tmp_path):
         cfg = write_config(
@@ -202,6 +231,13 @@ class TestPerpetuity:
         assert main(["perpetuity", str(cfg), "--out-dir", str(out)]) == 0
         lines = (out / "perpetuity_cdf.csv").read_text().splitlines()
         assert lines[1] == "t,phi"
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_flag_exit_one(self, tmp_path, samples):
+        cfg = write_config(tmp_path, perpetuity={"t_points": 11, "samples": 100})
+        out = tmp_path / "out"
+        assert main(["perpetuity", str(cfg), "--out-dir", str(out), "--samples", samples]) == 1
+        assert not (out / "perpetuity_cdf.csv").exists()
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(

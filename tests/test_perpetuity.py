@@ -155,6 +155,16 @@ class TestCharfnEstimate:
         assert est.divergent_regime
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_nonpositive_sample_count_refused(count):
+    expansive = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
+    contractive = rr.build_measure([(0.5, 1, 1.0)])
+    with pytest.raises(ValueError, match="sample count"):
+        rr.estimate_charfn(expansive, [1.0], count)
+    with pytest.raises(ValueError, match="sample count"):
+        rr.estimate_cdf(contractive, [0.0], count)
+
+
 class TestCdfEstimate:
     def test_point_mass_at_map_fixed_point(self):
         m = rr.build_measure([(0.5, 1, 1.0)])

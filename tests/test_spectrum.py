@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import randrefine as rr
+from randrefine.perpetuity import generator
 
 
 def _inverse_direct(values_w, xs, ts):
@@ -16,6 +17,55 @@ def _inverse_direct(values_w, xs, ts):
         tb = ts[start:start + block]
         out[start:start + len(tb)] = np.exp(-1j * np.multiply.outer(tb, xs)) @ values_w
     return out
+
+
+def _series_grid_mc_upfront(measure, g, xs, eps, n_max, sample_count, seed):
+    """Reference oracle: the Monte Carlo series with every depth evaluated
+    before the stopping rule runs (chunk first, depth second)."""
+    rng = generator(seed)
+    ls, ms = measure.scales, measure.shifts
+    terms = np.zeros((n_max, len(xs)), dtype=complex)
+    rows = max(1, 2_000_000 // max(n_max, 1))
+    done = 0
+    while done < sample_count:
+        take = min(rows, sample_count - done)
+        idx = rng.choice(len(ls), size=(take, n_max), p=measure.weights)
+        prods = np.cumprod(ls[idx], axis=1)
+        sums = np.cumsum(ms[idx] / prods, axis=1)
+        xblock = max(1, 2_000_000 // take)
+        for n in range(n_max):
+            for start in range(0, len(xs), xblock):
+                xb = xs[start:start + xblock]
+                phases = np.exp(1j * np.multiply.outer(xb, sums[:, n]))
+                hh = g.fourier(np.multiply.outer(xb, 1.0 / prods[:, n]))
+                terms[n, start:start + len(xb)] += (phases * hh).sum(axis=1)
+        done += take
+    terms /= sample_count
+
+    total = np.zeros(len(xs), dtype=complex)
+    small_run = 0
+    terms_used = 0
+    last_max = math.inf
+    for n in range(n_max):
+        total += terms[n]
+        terms_used = n + 1
+        last_max = float(np.max(np.abs(terms[n])))
+        small_run = small_run + 1 if last_max < eps else 0
+        if small_run >= 3:
+            return total, rr.TruncationReport(terms_used, last_max, True)
+    return total, rr.TruncationReport(terms_used, last_max, False)
+
+
+class CountingFourier:
+    """Forwards ``fourier`` to a closed form and counts the calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def fourier(self, x):
+        self.calls += 1
+        return self.fn.fourier(x)
 
 
 def single_atom_term(l, m, ghat, x, n):
@@ -116,6 +166,75 @@ class TestSumSeries:
             eps=1e-9, n_max=25,
         )
         assert np.max(np.abs(exact - mc)) < 0.03
+
+    @pytest.mark.parametrize("atoms, samples, n_max", [
+        ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], 2_000, 60),
+        # 2_000_000 // 400 = 5000 rows per chunk
+        ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], 12_000, 400),
+        ([(-2.0, 0.0, 0.5), (3.0, 1.0, 0.25), (2.0, -0.5, 0.25)], 3_000, 60),
+    ], ids=["one-chunk", "three-chunks", "zero-shift-negative-scale"])
+    def test_streamed_monte_carlo_matches_upfront_oracle(self, atoms, samples, n_max):
+        measure = rr.build_measure(atoms)
+        g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
+        xs = rr.symmetric_grid(8.0, 5)
+        strategy = rr.MonteCarloStrategy(sample_count=samples, seed=5)
+        values, report = rr.sum_series_grid(measure, g, xs, strategy, n_max=n_max)
+        oracle, oracle_report = _series_grid_mc_upfront(
+            measure, g, xs, 1e-10, n_max, samples, 5
+        )
+        assert report.converged and report.terms_used < n_max
+        assert report == oracle_report
+        assert values.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_sample_count_refused(self, count):
+        with pytest.raises(ValueError, match="sample_count"):
+            rr.MonteCarloStrategy(sample_count=count)
+
+    def test_monte_carlo_evaluates_only_the_depths_it_sums(self):
+        measure = rr.build_measure([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)])
+        g = CountingFourier(rr.gaussian(0, 1) - rr.gaussian(1, 1))
+        strategy = rr.MonteCarloStrategy(sample_count=500, seed=1)
+        _, report = rr.sum_series_grid(measure, g, rr.symmetric_grid(8.0, 33), strategy)
+        # one chunk and one frequency block: one transform call per depth
+        assert report.converged
+        assert g.calls == report.terms_used < 60
+
+
+ROUTES = {
+    "shared": ([(0.5, 1.0, 0.5), (0.5, -1.0, 0.5)], rr.EXACT),
+    "walk": ([(0.5, 1.0, 0.5), (0.25, -1.0, 0.5)], rr.EXACT),
+    "mc": ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)],
+           rr.MonteCarloStrategy(sample_count=2_000, seed=4)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+class TestHalfGrid:
+    """The series is evaluated on |x| and mirrored by conjugation."""
+
+    def _problem(self, route):
+        atoms, strategy = ROUTES[route]
+        return rr.build_measure(atoms), rr.gaussian(0, 1) - rr.gaussian(1.5, 1), strategy
+
+    def test_symmetric_grid_mirrors_exactly(self, route):
+        measure, g, strategy = self._problem(route)
+        values, _ = rr.sum_series_grid(measure, g, rr.symmetric_grid(6.0, 41), strategy)
+        assert np.array_equal(values[::-1], np.conj(values))
+
+    @pytest.mark.parametrize("grid", [
+        np.random.default_rng(3).permutation(rr.symmetric_grid(6.0, 25)),
+        np.linspace(-6.0, 6.0, 24),
+    ], ids=["shuffled", "even-linspace"])
+    def test_matches_pointwise_sum(self, route, grid):
+        # eps = 0 runs every route to n_max, so the grid and each point
+        # sum the same depths
+        measure, g, strategy = self._problem(route)
+        values, report = rr.sum_series_grid(measure, g, grid, strategy, eps=0.0, n_max=14)
+        assert report.terms_used == 14
+        for x, v in zip(grid, values):
+            point, _ = rr.sum_series(measure, g, x, strategy, eps=0.0, n_max=14)
+            assert abs(v - point) <= 1e-13
 
 
 class TestForwardCharfnProduct:
