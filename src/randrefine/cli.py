@@ -28,7 +28,7 @@ from .errors import (
     NonzeroMeanInhomogeneity,
     RandRefineError,
 )
-from .gridfn import GridFn
+from .gridfn import GridFn, grid_size
 from .measure import Regime, classify_regime, measure_from_json
 from .perpetuity import estimate_cdf, estimate_charfn
 from .picard import differentiate, picard_iterate
@@ -99,7 +99,15 @@ def _forcing_from(cfg: dict) -> ClosedFormFn:
 
 
 def _seed(cfg: dict, args) -> int:
-    return args.seed if args.seed is not None else _value(cfg, "seed", 0, int)
+    seed = args.seed if args.seed is not None else _value(cfg, "seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+def _window(value) -> tuple[float, float]:
+    t_min, t_max = (float(v) for v in value)  # ValueError unless two numbers
+    return t_min, t_max
 
 
 def _write_table(
@@ -149,6 +157,8 @@ def _strategy(solver: dict, args, seed: int):
 def _x_grid(section: dict, x_max: float, points: int):
     x_max = _value(section, "x_max", x_max)
     points = _value(section, "x_points", points, int)
+    if points < 2:
+        raise ConfigError(f"'x_points' must be at least 2, got {points}")
     if points % 2 == 1:
         return symmetric_grid(x_max, points)
     return np.linspace(-x_max, x_max, points)
@@ -158,7 +168,10 @@ def _t_grid(section: dict):
     t_min = _value(section, "t_min", -10.0)
     t_max = _value(section, "t_max", 10.0)
     step = _value(section, "t_step", 1e-3)
-    n = int(round((t_max - t_min) / step)) + 1
+    try:
+        n = grid_size(t_min, t_max, step)
+    except ValueError as exc:
+        raise ConfigError(f"invalid t grid: {exc}") from exc
     return np.linspace(t_min, t_max, n)
 
 
@@ -217,12 +230,15 @@ def cmd_iterate(args) -> int:
     g = _forcing_from(cfg)
     seed = _seed(cfg, args)
     it = cfg.get("iterate", {})
-    window = tuple(args.window) if args.window else tuple(it.get("window", (-10.0, 10.0)))
+    window = tuple(args.window) if args.window else _value(it, "window", (-10.0, 10.0), _window)
     step = args.step if args.step is not None else _value(it, "step", 1e-3)
     tol = args.tol if args.tol is not None else _value(it, "tol", 1e-9)
     max_iter = args.max_iter if args.max_iter is not None else _value(it, "max_iter", 500, int)
 
-    result = picard_iterate(measure, g, window, step, tol, max_iter)
+    try:
+        result = picard_iterate(measure, g, window, step, tol, max_iter)
+    except ValueError as exc:  # a window, step or max_iter out of range
+        raise ConfigError(str(exc)) from exc
     deriv = differentiate(result.cdf)
 
     prov = _provenance(config_hash, seed)

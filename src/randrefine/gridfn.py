@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+
+def grid_size(t_min: float, t_max: float, step: float) -> int:
+    """Node count of the uniform grid ``t_min, t_min+step, ..., t_max``.
+
+    Raises ``ValueError`` unless the window is finite with ``t_min < t_max``,
+    the step is finite and positive, and the grid has at least two nodes.
+    """
+    if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max):
+        raise ValueError(f"window must be finite with t_min < t_max, got ({t_min!r}, {t_max!r})")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    n = int(round((t_max - t_min) / step)) + 1
+    if n < 2:
+        raise ValueError(f"window ({t_min!r}, {t_max!r}) at step {step!r} holds fewer than two nodes")
+    return n
 
 
 @dataclass(frozen=True)

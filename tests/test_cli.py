@@ -68,24 +68,35 @@ class TestClassify:
         assert main(["classify", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("command, entries", [
-    ("classify", {"measure": [{"l": 0.5, "p": 1.0}]}),
-    ("classify", {"measure": [{"l": "x", "m": 1.0, "p": 1.0}]}),
-    ("classify", {"measure": {"l": 0.5, "m": 1.0, "p": 1.0}}),
-    ("solve", {"grid": {"x_points": "many"}}),
-    ("solve", {"grid": {"t_step": [0.01]}}),
-    ("solve", {"grid": [40.0, 4097]}),
-    ("solve", {"seed": "forty-two"}),
-    ("solve", {"solver": {"strategy": "mc", "samples": "lots"}}),
-    ("solve", {"solver": {"eps": "small"}}),
-    ("iterate", {"iterate": {"max_iter": "x"}}),
-    ("perpetuity", {"perpetuity": {"t_points": float("inf")}}),
+@pytest.mark.parametrize("command, entries, flags", [
+    ("classify", {"measure": [{"l": 0.5, "p": 1.0}]}, []),
+    ("classify", {"measure": [{"l": "x", "m": 1.0, "p": 1.0}]}, []),
+    ("classify", {"measure": {"l": 0.5, "m": 1.0, "p": 1.0}}, []),
+    ("solve", {"grid": {"x_points": "many"}}, []),
+    ("solve", {"grid": {"t_step": [0.01]}}, []),
+    ("solve", {"grid": [40.0, 4097]}, []),
+    ("solve", {"seed": "forty-two"}, []),
+    ("solve", {"solver": {"strategy": "mc", "samples": "lots"}}, []),
+    ("solve", {"solver": {"eps": "small"}}, []),
+    ("iterate", {"iterate": {"max_iter": "x"}}, []),
+    ("perpetuity", {"perpetuity": {"t_points": float("inf")}}, []),
+    ("solve", {"grid": {"t_step": 0}}, []),
+    ("solve", {"grid": {"x_points": 1}}, []),
+    ("solve", {}, ["--seed", "-1", "--strategy", "mc"]),
+    ("iterate", {"iterate": {"window": "ab"}}, []),
+    ("iterate", {"iterate": {"window": [10, -10]}}, []),
+    ("iterate", {"iterate": {"max_iter": 0}}, []),
+    ("iterate", {}, ["--step", "0"]),
+    ("iterate", {}, ["--window", "0", "0.0001"]),
+    ("iterate", {}, ["--window", "-10", "nan"]),
 ], ids=["atom-lacks-m", "text-scale", "measure-object", "text-x-points",
         "list-t-step", "grid-list", "text-seed", "text-samples", "text-eps",
-        "text-max-iter", "infinite-t-points"])
-def test_malformed_config_value_exit_one(tmp_path, capsys, command, entries):
+        "text-max-iter", "infinite-t-points", "zero-t-step", "one-x-point",
+        "negative-seed-flag", "text-window", "reversed-window",
+        "zero-max-iter", "zero-step-flag", "one-node-window", "nan-window-flag"])
+def test_malformed_config_value_exit_one(tmp_path, capsys, command, entries, flags):
     cfg = write_config(tmp_path, **entries)
-    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out"), *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

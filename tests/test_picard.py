@@ -5,6 +5,31 @@ import pytest
 
 import randrefine as rr
 from conftest import staircase_cdf
+from randrefine.picard import _BLOCK, _interp_plan
+
+
+def _picard_interp_oracle(measure, g, window, step, tol, max_iter, start):
+    """The sweep loop as it was before the precomputed plan: one np.interp
+    per atom and sweep, full-size temporaries."""
+    t_min, t_max = window
+    n = int(round((t_max - t_min) / step)) + 1
+    nodes = np.linspace(t_min, t_max, n)
+    forcing = g.antiderivative(nodes)
+    image_points = [l * nodes - m for l, m, _ in measure.atoms]
+    values = np.zeros(n) if start == "zero" else forcing.copy()
+    deltas = []
+    converged = False
+    for _ in range(max_iter):
+        new = forcing.copy()
+        for pts, p in zip(image_points, measure.weights):
+            new += p * np.interp(pts, nodes, values, left=0.0, right=values[-1])
+        delta = float(np.max(np.abs(new - values)))
+        values = new
+        deltas.append(delta)
+        if delta < tol:
+            converged = True
+            break
+    return values, tuple(deltas), converged
 
 
 class TestGridFn:
@@ -132,6 +157,87 @@ class TestPicardIterate:
             warnings.simplefilter("error")
             rr.picard_iterate(measure, g_ok, (-10, 10), 1e-2,
                               check_integral_identity=True)
+
+
+def _manufactured(atoms, f):
+    measure = rr.build_measure(atoms)
+    return measure, rr.manufacture_inhomogeneity(measure, f)
+
+
+_TWO_ATOMS = _manufactured([(0.5, 0.5, 0.5), (0.75, -1.0, 0.5)],
+                           rr.gaussian(0.3, 0.8) - 0.5 * rr.triangle(-1.0, 1.2))
+_THREE_ATOMS = _manufactured([(0.25, 1.0, 0.25), (0.5, -0.5, 0.25), (0.75, 0.0, 0.5)],
+                             rr.gaussian(-0.4, 0.9) + 0.3 * rr.triangle(1.0, 1.0))
+# images of the window's edges fall off both sides, partly inside
+_LEAVES_WINDOW = _manufactured([(0.5, 2.5, 0.5), (0.5, -2.5, 0.5)], rr.triangle(0.0, 1.0))
+_EXPANDING_ATOM = _manufactured([(1.5, 0.3, 0.2), (0.25, -1.0, 0.8)], rr.gaussian(0.5, 1.0))
+# the window and step are binary fractions, so l=0.5, m=0.25 hits nodes exactly
+_NODE_HITS = _manufactured([(0.5, 0.25, 0.6), (0.75, -0.5, 0.4)], rr.triangle(0.0, 1.5))
+
+
+class TestPicardMatchesInterpOracle:
+    @pytest.mark.parametrize("start", ["zero", "forcing"])
+    @pytest.mark.parametrize("problem, window, step, tol, max_iter", [
+        (_TWO_ATOMS, (-8.0, 8.0), 1e-2, 1e-10, 400),
+        (_THREE_ATOMS, (-8.0, 8.0), 1e-2, 1e-10, 400),
+        (_LEAVES_WINDOW, (-4.0, 4.0), 1e-2, 1e-10, 400),
+        (_EXPANDING_ATOM, (-6.0, 6.0), 1e-2, 1e-10, 400),
+        (_NODE_HITS, (-4.0, 4.0), 1.0 / 64, 1e-12, 400),
+        # n = 2 * _BLOCK + 77: two block edges and a short last block
+        (_THREE_ATOMS, (-10.0, 10.0), 20.0 / (2 * _BLOCK + 76), 0.0, 6),
+        # n == 2: one interval
+        (_TWO_ATOMS, (-1.0, 1.0), 2.0, 1e-12, 50),
+    ], ids=["two-atoms", "three-atoms", "leaves-window", "expanding-atom",
+            "node-hits", "several-blocks", "two-nodes"])
+    def test_bit_identical(self, problem, window, step, tol, max_iter, start):
+        measure, g = problem
+        res = rr.picard_iterate(measure, g, window, step, tol, max_iter, start=start)
+        values, deltas, converged = _picard_interp_oracle(
+            measure, g, window, step, tol, max_iter, start)
+        assert np.array_equal(res.cdf.values, values)
+        assert res.deltas == deltas
+        assert res.iterations == len(deltas)
+        assert res.converged == converged
+
+    def test_cases_reach_the_edges_they_name(self):
+        def plan(window, step, l, m):
+            n = int(round((window[1] - window[0]) / step)) + 1
+            nodes = np.linspace(*window, n)
+            return n, _interp_plan(nodes, l, m)
+
+        n, (a, b, _, _) = plan((-4.0, 4.0), 1e-2, 0.5, 2.5)
+        assert 0 < a < b == n
+        n, (a, b, _, _) = plan((-4.0, 4.0), 1e-2, 0.5, -2.5)
+        assert 0 == a < b < n
+        n, (a, b, _, _) = plan((-6.0, 6.0), 1e-2, 1.5, 0.3)
+        assert 0 < a < b < n
+        _, (_, _, _, off) = plan((-4.0, 4.0), 1.0 / 64, 0.5, 0.25)
+        assert np.count_nonzero(off == 0.0) > 200
+
+
+class TestPicardRejectsBadGrid:
+    @pytest.mark.parametrize("window, step", [
+        ((-10.0, math.nan), 1e-2),
+        ((-math.inf, 10.0), 1e-2),
+        ((10.0, -10.0), 1e-2),
+        ((1.0, 1.0), 1e-2),
+        ((-10.0, 10.0), 0.0),
+        ((-10.0, 10.0), -1e-2),
+        ((-10.0, 10.0), math.nan),
+        ((-10.0, 10.0), math.inf),
+        ((0.0, 1e-4), 1e-3),
+    ], ids=["nan-end", "infinite-start", "reversed", "empty", "zero-step",
+            "negative-step", "nan-step", "infinite-step", "one-node"])
+    def test_bad_window_or_step(self, contractive_pair, window, step):
+        measure, _, g = contractive_pair
+        with pytest.raises(ValueError):
+            rr.picard_iterate(measure, g, window, step)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one(self, contractive_pair, max_iter):
+        measure, _, g = contractive_pair
+        with pytest.raises(ValueError, match="max_iter"):
+            rr.picard_iterate(measure, g, (-10, 10), 1e-2, max_iter=max_iter)
 
 
 class TestCdfEquationResidual:
