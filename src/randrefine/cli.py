@@ -28,7 +28,7 @@ from .errors import (
     NonzeroMeanInhomogeneity,
     RandRefineError,
 )
-from .gridfn import GridFn, grid_size
+from .gridfn import MAX_GRID_NODES, GridFn, grid_size
 from .measure import Regime, classify_regime, measure_from_json
 from .perpetuity import estimate_cdf, estimate_charfn
 from .picard import differentiate, picard_iterate
@@ -157,8 +157,8 @@ def _strategy(solver: dict, args, seed: int):
 def _x_grid(section: dict, x_max: float, points: int):
     x_max = _value(section, "x_max", x_max)
     points = _value(section, "x_points", points, int)
-    if points < 2:
-        raise ConfigError(f"'x_points' must be at least 2, got {points}")
+    if not 2 <= points <= MAX_GRID_NODES:
+        raise ConfigError(f"'x_points' must be between 2 and {MAX_GRID_NODES}, got {points}")
     if points % 2 == 1:
         return symmetric_grid(x_max, points)
     return np.linspace(-x_max, x_max, points)
@@ -203,11 +203,12 @@ def cmd_solve(args) -> int:
     grid = cfg.get("grid", {})
     xs = _x_grid(grid, 40.0, 4097)
     ts = _t_grid(grid)
-    spec = solve_spectrum(
-        measure, g, mass, xs,
-        strategy=_strategy(solver, args, seed),
-        eps=eps, n_max=n_max, regime_report=report,
-    )
+    strategy = _strategy(solver, args, seed)
+    try:
+        spec = solve_spectrum(measure, g, mass, xs, strategy=strategy,
+                              eps=eps, n_max=n_max, regime_report=report)
+    except ValueError as exc:  # a Monte Carlo draw over the budget
+        raise ConfigError(str(exc)) from exc
     recovered = invert_spectrum(spec, ts)
 
     prov = _provenance(config_hash, seed)
@@ -315,6 +316,8 @@ def cmd_perpetuity(args) -> int:
             t_min = _value(pcfg, "t_min", -10.0)
             t_max = _value(pcfg, "t_max", 10.0)
             points = _value(pcfg, "t_points", 2001, int)
+            if points > MAX_GRID_NODES:
+                raise ConfigError(f"'t_points' must be at most {MAX_GRID_NODES}, got {points}")
             ts = np.linspace(t_min, t_max, points)
             est = estimate_cdf(measure, ts, samples, depth=depth, rng_seed=seed)
             _write_table(out, "perpetuity_cdf", ["t", "phi"],

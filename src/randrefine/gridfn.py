@@ -1,4 +1,4 @@
-"""Uniformly sampled real functions with linear interpolation."""
+"""Uniform grids, and sampled real functions with linear interpolation."""
 
 from __future__ import annotations
 
@@ -8,21 +8,37 @@ from typing import Callable
 
 import numpy as np
 
+#: Most nodes a grid may hold.  Far above any grid the solvers need, it
+#: makes a mistyped step fail at once instead of in the allocator.
+MAX_GRID_NODES = 10**7
+
 
 def grid_size(t_min: float, t_max: float, step: float) -> int:
     """Node count of the uniform grid ``t_min, t_min+step, ..., t_max``.
 
     Raises ``ValueError`` unless the window is finite with ``t_min < t_max``,
-    the step is finite and positive, and the grid has at least two nodes.
+    the step is finite and positive, and the grid has at least two and at
+    most :data:`MAX_GRID_NODES` nodes.
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max):
         raise ValueError(f"window must be finite with t_min < t_max, got ({t_min!r}, {t_max!r})")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
-    n = int(round((t_max - t_min) / step)) + 1
+    span = (t_max - t_min) / step  # infinite when a tiny step overflows it
+    n = int(round(span)) + 1 if math.isfinite(span) else math.inf
+    if n > MAX_GRID_NODES:
+        raise ValueError(f"window ({t_min!r}, {t_max!r}) at step {step!r} needs {n} nodes, "
+                         f"above the budget {MAX_GRID_NODES}")
     if n < 2:
         raise ValueError(f"window ({t_min!r}, {t_max!r}) at step {step!r} holds fewer than two nodes")
     return n
+
+
+def half_grid(xs: np.ndarray):
+    """The distinct |x| of ``xs``, and ``mirror`` taking values on them back
+    to ``xs``, conjugated at x < 0 as a real function's transform is."""
+    half, inverse = np.unique(np.abs(xs), return_inverse=True)
+    return half, lambda v: np.where(xs < 0, v[inverse].conj(), v[inverse])
 
 
 @dataclass(frozen=True)

@@ -11,26 +11,31 @@ Two partial sums over i.i.d. draws ``(L_1, M_1), (L_2, M_2), ...`` matter:
 
 Samplers are pure functions of (measure, parameters, seed) built on a
 counter-based generator, so batches are reproducible and may run in
-parallel streams.
+parallel streams.  Every Monte Carlo route draws its atom paths through
+:func:`path_chunks`.  ``Generator.choice`` with weights draws one uniform
+per index in row-major order, so the chunking never changes a draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .closedform import ClosedFormFn
 from .errors import EnumerationTooLarge, RegimeMismatch, WindowTooSmall
+from .gridfn import half_grid
 from .measure import RandomAffineMeasure, Regime, classify_regime
 
 #: Hard cap on exact path enumeration.
 ENUMERATION_CAP = 10_000_000
 
-#: Row chunk used by the batch samplers to bound memory.
-_CHUNK_ROWS = 65_536
+#: Array elements per Monte Carlo block (path indices, or samples x frequencies).
+CHUNK_ELEMS = 2_000_000
+
+#: Most path indices (samples times depth) one Monte Carlo call may draw.
+DRAW_BUDGET = 2**28
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -40,33 +45,37 @@ def generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
 
 
-def _index_chunks(
-    measure: RandomAffineMeasure, depth: int, count: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    weights = measure.weights
-    rows = max(1, min(count, _CHUNK_ROWS * 64 // max(depth, 1)))
-    done = 0
-    while done < count:
-        take = min(rows, count - done)
-        yield rng.choice(len(weights), size=(take, depth), p=weights)
-        done += take
+def path_chunks(measure: RandomAffineMeasure, depth: int, count: int, rng: np.random.Generator):
+    """``count`` i.i.d. atom paths of length ``depth`` as chunks ``(rows, idx)``
+    of sample slices and atom indices; arguments are checked before any draw."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if count * depth > DRAW_BUDGET:
+        raise ValueError(
+            f"{count} samples of depth {depth} exceed the draw budget of {DRAW_BUDGET} indices"
+        )
+    rows = max(1, CHUNK_ELEMS // depth)
+    return (
+        (slice(i, min(i + rows, count)),
+         rng.choice(len(measure), size=(min(rows, count - i), depth), p=measure.weights))
+        for i in range(0, count, rows)
+    )
+
+
+def forward_paths(measure: RandomAffineMeasure, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward sums ``sum_k M_k / (L_1...L_k)`` and products ``L_1...L_n`` of index rows."""
+    prods = np.cumprod(measure.scales[idx], axis=1)
+    return (measure.shifts[idx] / prods).sum(axis=1), prods[:, -1]
 
 
 def draw_forward(
     measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int, stream: int = 0
 ) -> np.ndarray:
     """``count`` draws of the depth-truncated forward series."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    rng = generator(rng_seed, stream)
-    ls, ms = measure.scales, measure.shifts
+    chunks = path_chunks(measure, depth, count, generator(rng_seed, stream))
     out = np.empty(count)
-    pos = 0
-    for idx in _index_chunks(measure, depth, count, rng):
-        prods = np.cumprod(ls[idx], axis=1)
-        vals = (ms[idx] / prods).sum(axis=1)
-        out[pos:pos + len(vals)] = vals
-        pos += len(vals)
+    for rows, idx in chunks:
+        out[rows] = forward_paths(measure, idx)[0]
     return out
 
 
@@ -74,19 +83,14 @@ def draw_backward(
     measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int, stream: int = 0
 ) -> np.ndarray:
     """``count`` draws of the depth-n backward iterate Z_n."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    rng = generator(rng_seed, stream)
+    chunks = path_chunks(measure, depth, count, generator(rng_seed, stream))
     ls, ms = measure.scales, measure.shifts
     out = np.empty(count)
-    pos = 0
-    for idx in _index_chunks(measure, depth, count, rng):
+    for rows, idx in chunks:
         scales = ls[idx]
         prods = np.ones_like(scales)
         np.cumprod(scales[:, :-1], axis=1, out=prods[:, 1:])
-        vals = -(ms[idx] * prods).sum(axis=1)
-        out[pos:pos + len(vals)] = vals
-        pos += len(vals)
+        out[rows] = -(ms[idx] * prods).sum(axis=1)
     return out
 
 
@@ -229,9 +233,9 @@ def estimate_charfn(
     """Monte Carlo estimate of ``E exp(i x Z)`` for the forward-series limit.
 
     One common batch of draws serves every grid point, which keeps the
-    estimate a smooth function of x and makes the mirror symmetry
-    ``estimate(-x) == conj(estimate(x))`` exact.  ``stderr`` combines the
-    real and imaginary sample variances: sqrt((var_re + var_im) / n).
+    estimate a smooth function of x.  It is evaluated on the distinct |x| and
+    mirrored, so ``estimate(-x) == conj(estimate(x))`` exactly.  ``stderr``
+    combines the real and imaginary sample variances: sqrt((var_re + var_im) / n).
 
     Outside the expansive regime the series need not converge; the call is
     refused unless ``allow_divergent`` is set, in which case the estimate
@@ -255,11 +259,12 @@ def estimate_charfn(
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     z = draw_forward(measure, depth, sample_count, rng_seed)
 
-    values = np.empty(len(xs), dtype=complex)
-    stderr = np.empty(len(xs))
-    block = max(1, _CHUNK_ROWS * 16 // max(sample_count, 1))
-    for start in range(0, len(xs), block):
-        xb = xs[start:start + block]
+    half, mirror = half_grid(xs)
+    values = np.empty(len(half), dtype=complex)
+    stderr = np.empty(len(half))
+    block = max(1, CHUNK_ELEMS // 2 // sample_count)
+    for start in range(0, len(half), block):
+        xb = half[start:start + block]
         phases = np.exp(1j * np.multiply.outer(xb, z))
         values[start:start + len(xb)] = phases.mean(axis=1)
         var = phases.real.var(axis=1) + phases.imag.var(axis=1)
@@ -268,8 +273,8 @@ def estimate_charfn(
         sample_count=sample_count,
         depth=depth,
         charfn_x=xs,
-        charfn_values=values,
-        charfn_stderr=stderr,
+        charfn_values=mirror(values),
+        charfn_stderr=mirror(stderr),
         divergent_regime=divergent,
     )
 

@@ -50,9 +50,11 @@ from .errors import (
     RegimeMismatch,
     SpectralLeakage,
 )
-from .gridfn import GridFn
+from .gridfn import GridFn, half_grid
 from .measure import RandomAffineMeasure, Regime, RegimeReport, classify_regime
-from .perpetuity import ENUMERATION_CAP, estimate_charfn, generator
+from .perpetuity import (
+    CHUNK_ELEMS, ENUMERATION_CAP, estimate_charfn, forward_paths, generator, path_chunks,
+)
 
 
 @dataclass(frozen=True)
@@ -202,12 +204,13 @@ def series_term_mc(
     seed: int = 0,
 ) -> tuple[complex, float]:
     """Monte Carlo estimate of T_n[h](x) with its standard error."""
-    rng = generator(seed)
-    ls, ms = measure.scales, measure.shifts
-    idx = rng.choice(len(ls), size=(sample_count, n), p=measure.weights)
-    prods = np.cumprod(ls[idx], axis=1)
-    sums = (ms[idx] / prods).sum(axis=1)
-    vals = np.exp(1j * x * sums) * h.fourier(x / prods[:, -1])
+    if sample_count < 1:
+        raise ValueError(f"sample count must be >= 1, got {sample_count}")
+    chunks = path_chunks(measure, n, sample_count, generator(seed))
+    sums, prods = np.empty((2, sample_count))
+    for rows, idx in chunks:
+        sums[rows], prods[rows] = forward_paths(measure, idx)
+    vals = np.exp(1j * x * sums) * h.fourier(x / prods)
     est = complex(vals.mean())
     stderr = math.sqrt((vals.real.var() + vals.imag.var()) / sample_count)
     return est, stderr
@@ -235,21 +238,18 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
     phase sum of each sample equal ``np.cumprod`` / ``np.cumsum`` bit for
     bit.  Indices are stored depth-major in the smallest integer type.
     """
-    rng = generator(seed)
     ls, ms = measure.scales, measure.shifts
-    rows = max(1, 2_000_000 // max(n_max, 1))
-    chunks = []  # (indices, running product, running phase sum)
-    for done in range(0, sample_count, rows):
-        take = min(rows, sample_count - done)
-        idx = rng.choice(len(ls), size=(take, n_max), p=measure.weights)
-        idx = np.ascontiguousarray(idx.T, dtype=np.min_scalar_type(len(ls) - 1))
-        chunks.append((idx, np.ones(take), np.zeros(take)))
+    small = np.min_scalar_type(len(ls) - 1)
+    chunks = [  # (indices, running product, running phase sum)
+        (np.ascontiguousarray(idx.T, dtype=small), np.ones(len(idx)), np.zeros(len(idx)))
+        for _, idx in path_chunks(measure, n_max, sample_count, generator(seed))
+    ]
     for n in range(n_max):
         term = np.zeros(len(xs), dtype=complex)
         for idx, p, s in chunks:
             p *= ls[idx[n]]
             s += ms[idx[n]] / p
-            xblock = max(1, 2_000_000 // len(p))
+            xblock = max(1, CHUNK_ELEMS // len(p))
             for start in range(0, len(xs), xblock):
                 xb = xs[start:start + xblock]
                 phases = np.exp(1j * np.multiply.outer(xb, s))
@@ -305,11 +305,10 @@ def sum_series_grid(
     never an estimate.
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    half, inverse = np.unique(np.abs(xs), return_inverse=True)
+    half, mirror = half_grid(xs)
     terms = _terms(measure, g, half, strategy, n_max)
     total, report = _sum_terms(terms, len(half), eps, n_max)
-    values = total[inverse]
-    return np.where(xs < 0, values.conj(), values), report
+    return mirror(total), report
 
 
 def sum_series(

@@ -89,11 +89,20 @@ class TestClassify:
     ("iterate", {}, ["--step", "0"]),
     ("iterate", {}, ["--window", "0", "0.0001"]),
     ("iterate", {}, ["--window", "-10", "nan"]),
+    ("iterate", {}, ["--step", "1e-15"]),
+    ("iterate", {}, ["--step", "1e-320"]),
+    ("solve", {"grid": {"t_step": 1e-15}}, []),
+    ("solve", {"grid": {"x_points": 10**13}}, []),
+    ("perpetuity", {"perpetuity": {"t_points": 10**13}}, []),
+    ("perpetuity", {}, ["--samples", str(10**13)]),
+    ("solve", {}, ["--strategy", "mc", "--samples", "1", "--n-max", str(10**13)]),
 ], ids=["atom-lacks-m", "text-scale", "measure-object", "text-x-points",
         "list-t-step", "grid-list", "text-seed", "text-samples", "text-eps",
         "text-max-iter", "infinite-t-points", "zero-t-step", "one-x-point",
         "negative-seed-flag", "text-window", "reversed-window",
-        "zero-max-iter", "zero-step-flag", "one-node-window", "nan-window-flag"])
+        "zero-max-iter", "zero-step-flag", "one-node-window", "nan-window-flag",
+        "tiny-step-flag", "overflowing-step-flag", "tiny-t-step", "huge-x-points",
+        "huge-t-points", "huge-samples-flag", "huge-mc-depth-flag"])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, entries, flags):
     cfg = write_config(tmp_path, **entries)
     assert main([command, str(cfg), "--out-dir", str(tmp_path / "out"), *flags]) == 1

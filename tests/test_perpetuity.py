@@ -4,6 +4,64 @@ import numpy as np
 import pytest
 
 import randrefine as rr
+import randrefine.perpetuity as pp
+
+
+def _index_chunks_oracle(measure, depth, count, rng):
+    """Reference oracle: the per-sampler index draw in chunks of
+    65536 * 64 // depth rows."""
+    weights = measure.weights
+    rows = max(1, min(count, 65_536 * 64 // max(depth, 1)))
+    done = 0
+    while done < count:
+        take = min(rows, count - done)
+        yield rng.choice(len(weights), size=(take, depth), p=weights)
+        done += take
+
+
+def _draw_forward_oracle(measure, depth, count, seed):
+    ls, ms = measure.scales, measure.shifts
+    out = np.empty(count)
+    pos = 0
+    for idx in _index_chunks_oracle(measure, depth, count, pp.generator(seed)):
+        prods = np.cumprod(ls[idx], axis=1)
+        vals = (ms[idx] / prods).sum(axis=1)
+        out[pos:pos + len(vals)] = vals
+        pos += len(vals)
+    return out
+
+
+def _draw_backward_oracle(measure, depth, count, seed):
+    ls, ms = measure.scales, measure.shifts
+    out = np.empty(count)
+    pos = 0
+    for idx in _index_chunks_oracle(measure, depth, count, pp.generator(seed)):
+        scales = ls[idx]
+        prods = np.ones_like(scales)
+        np.cumprod(scales[:, :-1], axis=1, out=prods[:, 1:])
+        vals = -(ms[idx] * prods).sum(axis=1)
+        out[pos:pos + len(vals)] = vals
+        pos += len(vals)
+    return out
+
+
+def _charfn_full_grid_oracle(measure, xs, sample_count, depth, seed):
+    """Reference oracle: the phase matrix over every grid point, negative
+    frequencies included, in blocks of 65536 * 16 // sample_count points."""
+    z = _draw_forward_oracle(measure, depth, sample_count, seed)
+    values = np.empty(len(xs), dtype=complex)
+    stderr = np.empty(len(xs))
+    block = max(1, 65_536 * 16 // sample_count)
+    for start in range(0, len(xs), block):
+        xb = xs[start:start + block]
+        phases = np.exp(1j * np.multiply.outer(xb, z))
+        values[start:start + len(xb)] = phases.mean(axis=1)
+        var = phases.real.var(axis=1) + phases.imag.var(axis=1)
+        stderr[start:start + len(xb)] = np.sqrt(var / sample_count)
+    return values, stderr
+
+
+MIXED = [(2.0, 0.5, 0.5), (3.0, -1.0, 0.3), (-4.0, 1.5, 0.2)]
 
 
 def ks_distance(samples, cdf):
@@ -49,6 +107,55 @@ class TestSamplers:
         draws = rr.draw_forward(m, 40, 100_000, 9)
         dist = ks_distance(draws, lambda x: np.clip(x, 0.0, 1.0))
         assert dist < 0.01
+
+
+class TestPathChunks:
+    def test_chunking_never_changes_draws(self, monkeypatch):
+        m = rr.build_measure(MIXED)
+        monkeypatch.setattr(pp, "CHUNK_ELEMS", 7 * 300)
+        chunks = list(pp.path_chunks(m, 7, 1000, pp.generator(3)))
+        assert [(r.start, r.stop) for r, _ in chunks] == [
+            (0, 300), (300, 600), (600, 900), (900, 1000)]
+        whole = pp.generator(3).choice(len(m), size=(1000, 7), p=m.weights)
+        assert np.array_equal(np.concatenate([idx for _, idx in chunks]), whole)
+
+    def test_rows_from_the_chunk_constant(self):
+        m = rr.build_measure(MIXED)
+        (rows, idx), *rest = pp.path_chunks(m, 47, 100_000, pp.generator(1))
+        assert idx.shape == (pp.CHUNK_ELEMS // 47, 47) == (rows.stop, 47)
+        assert len(rest) == 2
+
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_depth_checked_at_call(self, depth):
+        with pytest.raises(ValueError, match="depth"):
+            pp.path_chunks(rr.build_measure(MIXED), depth, 10, pp.generator(0))
+
+    def test_draw_budget_checked_before_drawing(self):
+        m = rr.build_measure(MIXED)
+        rng = pp.generator(0)
+        with pytest.raises(ValueError, match="draw budget"):
+            pp.path_chunks(m, 60, 10**9, rng)
+        assert rng.random() == pp.generator(0).random()  # nothing drawn
+        pp.path_chunks(m, 64, pp.DRAW_BUDGET // 64, rng)  # at the budget: accepted
+
+    @pytest.mark.parametrize("sampler", [rr.draw_forward, rr.draw_backward])
+    def test_samplers_refuse_over_budget_counts(self, sampler):
+        with pytest.raises(ValueError, match="draw budget"):
+            sampler(rr.build_measure(MIXED), 500, 10**13, 0)
+
+
+@pytest.mark.parametrize("depth, count", [
+    (1, 3000), (7, 3000), (8, 3000), (47, 3000),
+    (47, 100_000),  # three chunks of CHUNK_ELEMS // 47 rows
+    (200, 20_001),  # three chunks, the last of one row
+])
+@pytest.mark.parametrize("draw, oracle", [
+    (rr.draw_forward, _draw_forward_oracle),
+    (rr.draw_backward, _draw_backward_oracle),
+], ids=["forward", "backward"])
+def test_draws_match_chunk_oracle_bytes(draw, oracle, depth, count):
+    m = rr.build_measure(MIXED)
+    assert draw(m, depth, count, 17).tobytes() == oracle(m, depth, count, 17).tobytes()
 
 
 class TestEnumeratePaths:
@@ -132,6 +239,23 @@ class TestCharfnEstimate:
         est = rr.estimate_charfn(m, xs, 20_000, rng_seed=42)
         vals = est.charfn_values
         assert np.array_equal(vals[:3], np.conj(vals[:2:-1]))
+
+    @pytest.mark.parametrize("xs", [
+        rr.symmetric_grid(10.0, 201),
+        np.random.default_rng(3).permutation(rr.symmetric_grid(6.0, 25)),
+        np.linspace(-6.0, 6.0, 24),
+        np.array([0.0]),
+        np.array([-5.0, -0.5, -2.0, -0.5]),
+        np.array([-3.0, 2.0]),
+    ], ids=["symmetric", "shuffled", "even-linspace", "zero", "negative-only", "mixed-sign"])
+    @pytest.mark.parametrize("samples", [1, 20_000])
+    def test_half_grid_matches_full_grid_oracle_bytes(self, xs, samples):
+        m = rr.build_measure([(2.0, 0.0, 0.5), (3.0, 1.0, 0.3), (-2.0, -0.5, 0.2)])
+        est = rr.estimate_charfn(m, xs, samples, rng_seed=9)
+        values, stderr = _charfn_full_grid_oracle(m, xs, samples, est.depth, 9)
+        assert est.charfn_x.tobytes() == xs.tobytes()
+        assert est.charfn_values.tobytes() == values.tobytes()
+        assert est.charfn_stderr.tobytes() == stderr.tobytes()
 
     def test_modulus_bound(self):
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])

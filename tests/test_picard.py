@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import randrefine as rr
+import randrefine.gridfn as gridfn
 from conftest import staircase_cdf
 from randrefine.picard import _BLOCK, _interp_plan
 
@@ -238,6 +239,22 @@ class TestPicardRejectsBadGrid:
         measure, _, g = contractive_pair
         with pytest.raises(ValueError, match="max_iter"):
             rr.picard_iterate(measure, g, (-10, 10), 1e-2, max_iter=max_iter)
+
+
+class TestGridBudget:
+    """Grids above the node budget are refused before anything is allocated."""
+
+    @pytest.mark.parametrize("step", [1e-15, 1e-320], ids=["tiny", "overflowing"])
+    def test_tiny_step_refused(self, contractive_pair, step):
+        measure, _, g = contractive_pair
+        with pytest.raises(ValueError, match="budget"):
+            rr.picard_iterate(measure, g, (-10.0, 10.0), step)
+
+    def test_budget_boundary(self):
+        budget = gridfn.MAX_GRID_NODES
+        assert gridfn.grid_size(0.0, 1.0, 1.0 / (budget - 1)) == budget
+        with pytest.raises(ValueError, match=f"{budget + 1} nodes"):
+            gridfn.grid_size(0.0, 1.0, 1.0 / budget)
 
 
 class TestCdfEquationResidual:

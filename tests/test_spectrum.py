@@ -56,6 +56,19 @@ def _series_grid_mc_upfront(measure, g, xs, eps, n_max, sample_count, seed):
     return total, rr.TruncationReport(terms_used, last_max, False)
 
 
+def _series_term_mc_single_draw(measure, h, x, n, sample_count, seed):
+    """Reference oracle: T_n[h](x) from one unchunked index draw."""
+    rng = generator(seed)
+    ls, ms = measure.scales, measure.shifts
+    idx = rng.choice(len(ls), size=(sample_count, n), p=measure.weights)
+    prods = np.cumprod(ls[idx], axis=1)
+    sums = (ms[idx] / prods).sum(axis=1)
+    vals = np.exp(1j * x * sums) * h.fourier(x / prods[:, -1])
+    est = complex(vals.mean())
+    stderr = math.sqrt((vals.real.var() + vals.imag.var()) / sample_count)
+    return est, stderr
+
+
 class CountingFourier:
     """Forwards ``fourier`` to a closed form and counts the calls."""
 
@@ -120,6 +133,24 @@ class TestSeriesTerm:
         exact = rr.series_term(m, g, 3.14, 6)
         est, stderr = rr.series_term_mc(m, g, 3.14, 6, 200_000, seed=5)
         assert abs(est - exact) <= 4 * stderr + 1e-4
+
+    @pytest.mark.parametrize("x, n, count", [
+        (1.7, 1, 1), (-2.5, 7, 3000), (0.0, 8, 3000), (3.1, 30, 3000),
+        (1.7, 200, 20_001),  # three chunks, the last of one row
+    ])
+    def test_monte_carlo_matches_single_draw_oracle_bytes(self, x, n, count):
+        m = rr.build_measure([(2.0, 0.5, 0.5), (3.0, -1.0, 0.3), (-4.0, 1.5, 0.2)])
+        g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
+        est, stderr = rr.series_term_mc(m, g, x, n, count, seed=8)
+        oracle, oracle_stderr = _series_term_mc_single_draw(m, g, x, n, count, 8)
+        assert np.array([est, stderr]).tobytes() == np.array([oracle, oracle_stderr]).tobytes()
+
+    @pytest.mark.parametrize("n, count", [(0, 100), (-1, 100), (3, 0), (3, -2)])
+    def test_monte_carlo_rejects_bad_depth_or_count(self, n, count):
+        m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
+        g = rr.indicator(0, 1) - rr.indicator(1, 2)
+        with pytest.raises(ValueError, match="depth|sample count"):
+            rr.series_term_mc(m, g, 1.0, n, count)
 
 
 class TestSumSeries:
