@@ -262,22 +262,35 @@ def _load_solution(path: str):
     if not p.exists():
         raise ConfigError(f"solution file {path} does not exist")
     if p.suffix == ".json":
-        return fn_from_json(p.read_text(encoding="utf-8"))
-    ts, vs = [], []
+        try:
+            return fn_from_json(p.read_text(encoding="utf-8"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid solution JSON: {exc!r}") from exc
+    rows = []
     for line in p.read_text(encoding="utf-8").splitlines():
         line = line.strip()
-        if not line or line.startswith("#") or line[0].isalpha():
+        if not line or line.startswith("#"):
             continue
-        parts = line.split(",")
-        ts.append(float(parts[0]))
-        vs.append(float(parts[1]))
-    if len(ts) < 2:
+        try:
+            t, v = (float(part) for part in line.split(","))
+        except ValueError as exc:
+            if not rows and line[0].isalpha():  # the column header
+                continue
+            raise ConfigError(f"solution CSV row {line!r} is not two numbers t,f") from exc
+        rows.append((t, v))
+    if len(rows) < 2:
         raise ConfigError("solution CSV needs at least two rows of t,f")
-    t = np.asarray(ts)
+    table = np.array(rows)
+    if not np.all(np.isfinite(table)):
+        raise ConfigError("solution CSV holds a non-finite value")
+    t, vs = table.T
     step = (t[-1] - t[0]) / (len(t) - 1)
     if np.max(np.abs(np.diff(t) - step)) > 1e-9 * abs(step):
         raise ConfigError("solution CSV grid must be uniform")
-    return GridFn(float(t[0]), float(t[-1]), float(step), np.asarray(vs), 0.0, 0.0)
+    try:
+        return GridFn(float(t[0]), float(t[-1]), float(step), vs, 0.0, 0.0)
+    except ValueError as exc:  # equal or descending t
+        raise ConfigError(f"invalid solution CSV grid: {exc}") from exc
 
 
 def cmd_verify(args) -> int:

@@ -46,7 +46,8 @@ class GridFn:
     """Samples on the uniform grid ``t_min, t_min+step, ..., t_max``.
 
     Evaluation between nodes is linear; outside the window it is the
-    constant ``left_value`` / ``right_value``.
+    constant ``left_value`` / ``right_value``.  The node count is
+    :func:`grid_size`'s, so a bad window or step raises ``ValueError``.
     """
 
     t_min: float
@@ -59,7 +60,7 @@ class GridFn:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        n = int(round((self.t_max - self.t_min) / self.step)) + 1
+        n = grid_size(self.t_min, self.t_max, self.step)
         if vals.ndim != 1 or len(vals) != n:
             raise ValueError(
                 f"expected {n} samples on [{self.t_min}, {self.t_max}] "
@@ -90,8 +91,7 @@ class GridFn:
         left_value: float = 0.0,
         right_value: float | None = None,
     ) -> "GridFn":
-        n = int(round((t_max - t_min) / step)) + 1
-        nodes = np.linspace(t_min, t_max, n)
+        nodes = np.linspace(t_min, t_max, grid_size(t_min, t_max, step))
         return cls(t_min, t_max, step, np.asarray(fn(nodes), dtype=float),
                    left_value, right_value)
 

@@ -14,10 +14,14 @@ counter-based generator, so batches are reproducible and may run in
 parallel streams.  Every Monte Carlo route draws its atom paths through
 :func:`path_chunks`.  ``Generator.choice`` with weights draws one uniform
 per index in row-major order, so the chunking never changes a draw.
+
+Every exact route, path laws and the spectral series terms alike, walks the
+paths through :func:`state_walk`, which merges equal states.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +32,7 @@ from .errors import EnumerationTooLarge, RegimeMismatch, WindowTooSmall
 from .gridfn import half_grid
 from .measure import RandomAffineMeasure, Regime, classify_regime
 
-#: Hard cap on exact path enumeration.
+#: Most path states times atoms one exact walk depth may allocate.
 ENUMERATION_CAP = 10_000_000
 
 #: Array elements per Monte Carlo block (path indices, or samples x frequencies).
@@ -170,37 +174,53 @@ class PathLaw:
         return PathLaw(self.values * factor, self.probs.copy(), self.depth)
 
 
+def state_walk(measure: RandomAffineMeasure, which: str = "forward"):
+    """Yield the exact law ``(prods, sums, weights)`` of the scale product
+    ``L_1...L_n`` and the forward or backward partial sum, n = 1, 2, ...
+
+    Paths that reach the same float pair are merged.  That keeps the law (the
+    next depth depends on the pair only) and keeps measures whose products
+    collide, dyadic ones in particular, far below ``k**n`` states.  A depth of
+    more than :data:`ENUMERATION_CAP` states times atoms is refused before it
+    is allocated.
+    """
+    ls, ms, ps = measure.scales, measure.shifts, measure.weights
+    prods, sums, weights = np.ones(1), np.zeros(1), np.ones(1)
+    for depth in itertools.count(1):
+        if len(prods) * len(ls) > ENUMERATION_CAP:
+            raise EnumerationTooLarge(
+                f"{len(prods)} path states x {len(ls)} atoms at depth {depth} "
+                f"exceed the cap {ENUMERATION_CAP}"
+            )
+        denom = prods[:, None] * ls[None, :]
+        if which == "forward":
+            sums = (sums[:, None] + ms[None, :] / denom).ravel()
+        else:
+            sums = (sums[:, None] - ms[None, :] * prods[:, None]).ravel()
+        prods = denom.ravel()
+        weights = (weights[:, None] * ps[None, :]).ravel()
+        key = prods + 1j * sums
+        uniq, index, inverse = np.unique(key, return_index=True, return_inverse=True)
+        if len(uniq) < len(key):
+            prods = prods[index]
+            sums = sums[index]
+            weights = np.bincount(inverse, weights=weights)
+        yield prods, sums, weights
+
+
 def enumerate_paths(
     measure: RandomAffineMeasure, depth: int, which: str
 ) -> PathLaw:
     """Exact law of the forward or backward partial sum at ``depth``.
 
-    ``which`` is ``"forward"`` or ``"backward"``.  The walk over all
-    ``k**depth`` atom paths is refused above :data:`ENUMERATION_CAP`.
+    ``which`` is ``"forward"`` or ``"backward"``; the merged
+    :func:`state_walk` refuses depths beyond :data:`ENUMERATION_CAP`.
     """
     if which not in ("forward", "backward"):
         raise ValueError("which must be 'forward' or 'backward'")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    k = len(measure)
-    if k ** depth > ENUMERATION_CAP:
-        raise EnumerationTooLarge(
-            f"{k}^{depth} paths exceed the cap {ENUMERATION_CAP}"
-        )
-    ls, ms, ps = measure.scales, measure.shifts, measure.weights
-
-    sums = np.zeros(1)
-    prods = np.ones(1)
-    weights = np.ones(1)
-    for _ in range(depth):
-        if which == "forward":
-            prods_next = np.multiply.outer(prods, ls).ravel()
-            sums = (sums[:, None] + ms[None, :] / (prods[:, None] * ls[None, :])).ravel()
-        else:
-            sums = (sums[:, None] - ms[None, :] * prods[:, None]).ravel()
-            prods_next = np.multiply.outer(prods, ls).ravel()
-        prods = prods_next
-        weights = np.multiply.outer(weights, ps).ravel()
+    _, sums, weights = next(itertools.islice(state_walk(measure, which), depth - 1, None))
     return PathLaw(sums, weights, depth)
 
 

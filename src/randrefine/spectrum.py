@@ -23,9 +23,10 @@ and letting N grow yields one closed formula per regime:
 critical regime (E log|L| = 0) has non-unique solution families and the
 solver refuses it; the verifier still works there.
 
-Exact evaluation of T_n walks atom paths.  Identical scales make the path
-average factor exactly (the phase increments are then independent), which
-keeps deep series affordable; otherwise states are merged and the walk is
+Exact evaluation of T_n has one source, :func:`exact_terms`.  Identical
+scales make the path average factor exactly (the phase increments are then
+independent), which keeps deep series affordable; otherwise T_n is read off
+the merged state walk of :func:`randrefine.perpetuity.state_walk`, which is
 capped.  Monte Carlo sampling mirrors both for cross-validation.  Every
 route yields T_n depth by depth to one summation loop, on |x| only: for
 real g, T_n[g](-x) = conj(T_n[g](x)).
@@ -53,13 +54,13 @@ from .errors import (
 from .gridfn import GridFn, half_grid
 from .measure import RandomAffineMeasure, Regime, RegimeReport, classify_regime
 from .perpetuity import (
-    CHUNK_ELEMS, ENUMERATION_CAP, estimate_charfn, forward_paths, generator, path_chunks,
+    CHUNK_ELEMS, estimate_charfn, forward_paths, generator, path_chunks, state_walk,
 )
 
 
 @dataclass(frozen=True)
 class ExactStrategy:
-    state_cap: int = ENUMERATION_CAP
+    """Exact path averages, capped at :data:`randrefine.perpetuity.ENUMERATION_CAP`."""
 
 
 @dataclass(frozen=True)
@@ -128,37 +129,6 @@ def _shift_charfn(measure: RandomAffineMeasure, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _state_walk(measure, cap: int):
-    """Yield the exact joint law of (scale product, phase sum) per depth.
-
-    States with identical float pairs are merged, so measures whose products
-    collide (dyadic scales in particular) stay far below the raw atom**n
-    count.  Raises EnumerationTooLarge beyond ``cap`` states.
-    """
-    ls, ms, ps = measure.scales, measure.shifts, measure.weights
-    prods = np.ones(1)
-    sums = np.zeros(1)
-    weights = np.ones(1)
-    depth = 0
-    while True:
-        depth += 1
-        denom = prods[:, None] * ls[None, :]
-        sums = (sums[:, None] + ms[None, :] / denom).ravel()
-        prods = denom.ravel()
-        weights = (weights[:, None] * ps[None, :]).ravel()
-        key = prods + 1j * sums
-        uniq, index, inverse = np.unique(key, return_index=True, return_inverse=True)
-        if len(uniq) < len(key):
-            prods = prods[index]
-            sums = sums[index]
-            weights = np.bincount(inverse, weights=weights)
-        if len(prods) > cap:
-            raise EnumerationTooLarge(
-                f"{len(prods)} path states at depth {depth} exceed the cap {cap}"
-            )
-        yield prods, sums, weights
-
-
 def _term_from_states(h: ClosedFormFn, xs, prods, sums, weights) -> np.ndarray:
     out = np.zeros(len(xs), dtype=complex)
     block = max(1, 4_000_000 // max(len(xs), 1))
@@ -172,27 +142,47 @@ def _term_from_states(h: ClosedFormFn, xs, prods, sums, weights) -> np.ndarray:
     return out
 
 
+def _shared_products(measure, xs, l0):
+    """``(l0**n, prod_{k<=n} E exp(i xs M / l0**k))`` for n = 1, 2, ...: the
+    scale product and the phase average of depth n when every scale is ``l0``."""
+    pw = 1.0
+    phase = np.ones(len(xs), dtype=complex)
+    while True:
+        pw *= l0
+        # a fresh array multiplied in place: numpy may round a one-element
+        # complex product differently in place and out of place
+        phase = phase.copy()
+        phase *= _shift_charfn(measure, xs / pw)
+        yield pw, phase
+
+
+def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray):
+    """Per depth n = 1, 2, ...: the map ``h -> T_n[h]`` on ``xs``, exact.
+
+    The shared-scale product when all scales coincide, the merged state
+    walk otherwise; one walk serves every ``h`` of a depth.
+    """
+    l0 = _deterministic_scale(measure)
+    if l0 is not None:
+        for pw, phase in _shared_products(measure, xs, l0):
+            yield lambda h, pw=pw, phase=phase: phase * h.fourier(xs / pw)
+    else:
+        for states in state_walk(measure):
+            yield lambda h, states=states: _term_from_states(h, xs, *states)
+
+
 def series_term(
     measure: RandomAffineMeasure,
     h: ClosedFormFn,
     x: float,
     n: int,
-    strategy: Strategy = EXACT,
 ) -> complex:
-    """The depth-n path average T_n[h](x).
-
-    Exact strategy: closed product when all scales coincide, otherwise a
-    merged state walk.  Monte Carlo strategy: plain path sampling.
-    """
+    """The exact depth-n path average T_n[h](x); :func:`series_term_mc`
+    estimates it by sampling."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(strategy, MonteCarloStrategy):
-        return series_term_mc(measure, h, x, n, strategy.sample_count, strategy.seed)[0]
-    xs = np.atleast_1d(float(x))
-    if _deterministic_scale(measure) is None:  # one term, at the last depth only
-        states = next(itertools.islice(_state_walk(measure, strategy.state_cap), n - 1, None))
-        return complex(_term_from_states(h, xs, *states)[0])
-    return complex(next(itertools.islice(_terms(measure, h, xs, strategy, n), n - 1, None))[0])
+    terms = exact_terms(measure, np.atleast_1d(float(x)))
+    return complex(next(itertools.islice(terms, n - 1, None))(h)[0])
 
 
 def series_term_mc(
@@ -219,16 +209,6 @@ def series_term_mc(
 # ---------------------------------------------------------------------------
 # series summation
 # ---------------------------------------------------------------------------
-
-def _terms_shared(measure, h, xs, l0):
-    """T_n[h] on ``xs``, n = 1, 2, ..., for the single scale ``l0``."""
-    cumulative = np.ones(len(xs), dtype=complex)
-    pw = 1.0
-    while True:
-        pw *= l0
-        cumulative *= _shift_charfn(measure, xs / pw)
-        yield cumulative * h.fourier(xs / pw)
-
 
 def _terms_mc(measure, h, xs, n_max, sample_count, seed):
     """Monte Carlo estimates of T_n[h] on ``xs`` for n = 1 .. n_max.
@@ -262,10 +242,7 @@ def _terms(measure, h, xs, strategy, n_max):
     """The path averages T_1[h], T_2[h], ... on ``xs``, one array per depth."""
     if isinstance(strategy, MonteCarloStrategy):
         return _terms_mc(measure, h, xs, n_max, strategy.sample_count, strategy.seed)
-    l0 = _deterministic_scale(measure)
-    if l0 is not None:
-        return _terms_shared(measure, h, xs, l0)
-    return (_term_from_states(h, xs, *s) for s in _state_walk(measure, strategy.state_cap))
+    return (term(h) for term in exact_terms(measure, xs))
 
 
 def _sum_terms(terms, size, eps, n_max):
@@ -353,10 +330,7 @@ def forward_charfn_product(
     if mmax == 0.0:
         return out
     xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
-    pw = 1.0
-    for _ in range(max_factors):
-        pw *= l0
-        out *= _shift_charfn(measure, xs / pw)
+    for _, (pw, out) in zip(range(max_factors), _shared_products(measure, xs, l0)):
         if xmax * mmax / (abs(pw) * (abs(l0) - 1.0)) < tol:
             break
     return out

@@ -17,6 +17,7 @@ so probes deliberately never land there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -27,7 +28,7 @@ from .closedform import ClosedFormFn, affine_image
 from .errors import SymmetryViolated
 from .gridfn import GridFn
 from .measure import RandomAffineMeasure, build_measure
-from .spectrum import EXACT, Strategy, series_term
+from .spectrum import exact_terms
 
 #: Sub-step offset of probe grids, kept irrational so rational jump points
 #: are never sampled exactly.
@@ -147,23 +148,20 @@ def finite_depth_residual(
     g: ClosedFormFn,
     depth: int,
     x_probes,
-    strategy: Strategy = EXACT,
 ) -> float:
     """Sup residual of the exact depth-N series identity
 
         fhat(x) = T_N[f](x) + sum_{n<N} T_n[g](x) + ghat(x),
 
     which holds for every N exactly when f solves the identity (depth 1 is
-    the plain transform-side residual)."""
+    the plain transform-side residual).  One exact walk serves all probes."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     xs = np.atleast_1d(np.asarray(x_probes, dtype=float))
-    worst = 0.0
-    for x in xs:
-        rhs = series_term(measure, f, float(x), depth, strategy)
-        for n in range(1, depth):
-            rhs += series_term(measure, g, float(x), n, strategy)
-        rhs += g.fourier(float(x))
-        worst = max(worst, abs(f.fourier(float(x)) - rhs))
-    return worst
+    rhs = g.fourier(xs)
+    for n, term in enumerate(itertools.islice(exact_terms(measure, xs), depth), 1):
+        rhs = rhs + term(f if n == depth else g)
+    return float(np.max(np.abs(f.fourier(xs) - rhs), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

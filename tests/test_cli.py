@@ -228,6 +228,40 @@ class TestVerify:
         assert verdict["pass"] is True
 
 
+    @pytest.mark.parametrize("rows", [
+        ["1.0,0.0", "1.0,0.0"],
+        ["0.0", "1.0"],
+        ["0.0,1.0", "0.5,2.0,3.0", "1.0,0.0"],
+        ["0.0,1.0", "0.5,nan", "1.0,0.0"],
+        ["0.0,1.0", "0.5,1.0", "1.0,inf"],
+        ["1.0,0.0", "0.5,0.0", "0.0,0.0"],
+        ["0.0,1.0", "0.5,1.0", "nan,0.0"],
+        ["0.0,1.0", "t,f", "1.0,0.0"],
+    ], ids=["equal-t", "one-column", "three-columns", "nan-value", "inf-value", "descending-t",
+            "nan-t", "header-between-rows"])
+    def test_bad_solution_csv_exit_one(self, tmp_path, capsys, rows):
+        cfg = write_config(tmp_path)
+        sol = tmp_path / "candidate.csv"
+        sol.write_text("\n".join(["# candidate", "t,f", *rows]) + "\n", encoding="utf-8")
+        assert main(["verify", str(cfg), str(sol)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("text", [
+        '{"terms": [',
+        '[{"coef": 1.0, "kind": "gaussian", "params": [0, -1]}]',
+        '[{"coef": 1.0, "kind": "wavelet", "params": [0, 1]}]',
+    ], ids=["malformed", "negative-width", "unknown-kind"])
+    def test_bad_solution_json_exit_one(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path)
+        sol = tmp_path / "candidate.json"
+        sol.write_text(text, encoding="utf-8")
+        assert main(["verify", str(cfg), str(sol)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestPerpetuity:
     def test_charfn_table_for_expansive(self, tmp_path, capsys):
         cfg = write_config(

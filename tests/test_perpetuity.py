@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randrefine as rr
 import randrefine.perpetuity as pp
@@ -62,6 +64,31 @@ def _charfn_full_grid_oracle(measure, xs, sample_count, depth, seed):
 
 
 MIXED = [(2.0, 0.5, 0.5), (3.0, -1.0, 0.3), (-4.0, 1.5, 0.2)]
+
+
+def _enumerate_paths_oracle(measure, depth, which):
+    """Reference oracle: the raw walk over all ``k**depth`` atom paths."""
+    ls, ms, ps = measure.scales, measure.shifts, measure.weights
+    sums = np.zeros(1)
+    prods = np.ones(1)
+    weights = np.ones(1)
+    for _ in range(depth):
+        if which == "forward":
+            prods_next = np.multiply.outer(prods, ls).ravel()
+            sums = (sums[:, None] + ms[None, :] / (prods[:, None] * ls[None, :])).ravel()
+        else:
+            sums = (sums[:, None] - ms[None, :] * prods[:, None]).ravel()
+            prods_next = np.multiply.outer(prods, ls).ravel()
+        prods = prods_next
+        weights = np.multiply.outer(weights, ps).ravel()
+    return rr.PathLaw(sums, weights, depth)
+
+
+def assert_same_law(measure, depth, which):
+    law = rr.enumerate_paths(measure, depth, which)
+    oracle = _enumerate_paths_oracle(measure, depth, which)
+    assert law.values.tobytes() == oracle.values.tobytes()
+    assert np.max(np.abs(law.probs - oracle.probs)) <= 1e-15
 
 
 def ks_distance(samples, cdf):
@@ -197,6 +224,38 @@ class TestEnumeratePaths:
         draws_f = rr.draw_forward(m, depth, 100_000, 32)
         assert ks_distance(draws_f, law_f.cdf) < 0.02
 
+    @pytest.mark.parametrize("which", ["forward", "backward"])
+    @pytest.mark.parametrize("atoms,depth", [
+        ([(2, 0, 0.5), (2, 1, 0.5)], 8),
+        ([(0.5, 0, 0.5), (0.5, -1, 0.5)], 10),
+        ([(2, 1, 0.3), (3, -1, 0.3), (0.5, 2, 0.4)], 7),
+        ([(2, 0, 0.25), (2, 1, 0.25), (2, 2, 0.25), (2, 3, 0.25)], 6),
+        ([(0.5, 1, 0.25), (0.5, -1, 0.75)], 9),
+        (MIXED, 7),
+    ], ids=["dyadic", "half-dyadic", "mixed-3", "dyadic-4", "skewed", "negative-scale"])
+    def test_merged_walk_matches_raw_oracle(self, atoms, depth, which):
+        assert_same_law(rr.build_measure(atoms), depth, which)
+
+    def test_merged_dyadic_law_beyond_raw_cap(self):
+        # 4**12 raw paths exceed the cap; the merged forward law is the
+        # lattice j / 2**12 on [0, 3) less the two top points
+        m = rr.build_measure([(2, 0, 0.25), (2, 1, 0.25), (2, 2, 0.25), (2, 3, 0.25)])
+        assert 4 ** 12 > pp.ENUMERATION_CAP
+        law = rr.enumerate_paths(m, 12, "forward")
+        assert np.array_equal(law.values, np.arange(len(law.values)) / 2.0**12)
+        assert len(law.values) == 3 * 2**12 - 2
+        assert math.fsum(law.probs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_small_cap_refuses_before_expanding(self, monkeypatch):
+        monkeypatch.setattr(pp, "ENUMERATION_CAP", 8)
+        m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
+        walk = pp.state_walk(m, "forward")
+        assert [len(next(walk)[0]) for _ in range(3)] == [2, 4, 8]
+        with pytest.raises(rr.EnumerationTooLarge, match="8 path states x 2 atoms at depth 4"):
+            next(walk)
+        with pytest.raises(rr.EnumerationTooLarge):
+            rr.enumerate_paths(m, 4, "backward")
+
     def test_forward_backward_reversal_scaling(self):
         # constant scale lam: the forward law equals the backward law
         # scaled by -lam^(-n) (path reversal)
@@ -210,6 +269,25 @@ class TestEnumeratePaths:
                 )
                 assert np.allclose(fwd.values, bwd.values, atol=1e-12)
                 assert np.allclose(fwd.probs, bwd.probs, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([-2.0, -0.5, 0.25, 0.5, 2.0, 3.0]),
+            st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.5]),
+                      st.floats(min_value=-3.0, max_value=3.0)),
+            st.integers(min_value=1, max_value=4),
+        ),
+        min_size=2, max_size=3,
+    ),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(["forward", "backward"]),
+)
+def test_merged_walk_matches_raw_oracle_generated(atoms, depth, which):
+    total = sum(w for _, _, w in atoms)
+    assert_same_law(rr.build_measure([(l, m, w / total) for l, m, w in atoms]), depth, which)
 
 
 class TestCharfnEstimate:

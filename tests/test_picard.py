@@ -49,6 +49,17 @@ class TestGridFn:
         with pytest.raises(ValueError):
             rr.GridFn(0.0, 1.0, 0.5, np.zeros(4))
 
+    @pytest.mark.parametrize("t_min, t_max, step", [
+        (0.0, 1.0, 0.0), (0.0, 1.0, -0.5), (1.0, 0.0, 0.5), (0.0, 1.0, float("nan")),
+    ], ids=["zero-step", "negative-step", "reversed-window", "nan-step"])
+    def test_bad_grid_refused(self, t_min, t_max, step):
+        with pytest.raises(ValueError):
+            rr.GridFn(t_min, t_max, step, np.zeros(3))
+
+    def test_from_function_refuses_over_budget_before_allocating(self):
+        with pytest.raises(ValueError, match="budget"):
+            rr.GridFn.from_function(np.sin, 0.0, 1.0, 1e-15)
+
     def test_from_function_hits_nodes(self):
         fn = rr.GridFn.from_function(np.sin, 0.0, math.pi, math.pi / 100)
         assert fn(math.pi / 2) == pytest.approx(1.0, abs=1e-4)

@@ -2,6 +2,27 @@ import numpy as np
 import pytest
 
 import randrefine as rr
+from test_spectrum import CountingFourier
+
+
+def _finite_depth_residual_oracle(measure, f, g, depth, x_probes):
+    """Reference oracle: one exact ``series_term`` walk per probe and depth."""
+    worst = 0.0
+    for x in np.atleast_1d(np.asarray(x_probes, dtype=float)):
+        rhs = rr.series_term(measure, f, float(x), depth)
+        for n in range(1, depth):
+            rhs += rr.series_term(measure, g, float(x), n)
+        rhs += g.fourier(float(x))
+        worst = max(worst, abs(f.fourier(float(x)) - rhs))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def walk_pair():
+    """Mixed-scale contractive measure: its terms come from the merged walk."""
+    measure = rr.build_measure([(0.5, 1.0, 0.5), (0.25, -1.0, 0.25), (0.75, 0.5, 0.25)])
+    f = rr.gaussian(0, 1) - rr.gaussian(2, 1)
+    return measure, f, rr.manufacture_inhomogeneity(measure, f)
 
 
 class TestResidualTime:
@@ -62,6 +83,29 @@ class TestFiniteDepthResidual:
         for measure, f, g in (contractive_pair, expansive_pair):
             res = rr.finite_depth_residual(measure, f, g, depth, [0.3, 1.0, 2.7])
             assert res <= 1e-10
+
+    @pytest.mark.parametrize("pair", ["contractive_pair", "expansive_pair", "walk_pair"])
+    @pytest.mark.parametrize("depth", [1, 2, 4, 6])
+    def test_matches_per_probe_oracle(self, request, pair, depth):
+        measure, f, g = request.getfixturevalue(pair)
+        xs = [-2.9, -0.37, 0.0, 0.3, 1.0, 2.7, 7.5]
+        for cand in (f, f + rr.gaussian(1, 0.5)):
+            res = rr.finite_depth_residual(measure, cand, g, depth, xs)
+            assert res == pytest.approx(
+                _finite_depth_residual_oracle(measure, cand, g, depth, xs), abs=1e-14
+            )
+
+    @pytest.mark.parametrize("depth", [1, 5])
+    def test_one_walk_serves_every_probe(self, walk_pair, depth):
+        measure, f, g = walk_pair
+        f_count, g_count = CountingFourier(f), CountingFourier(g)
+        rr.finite_depth_residual(measure, f_count, g_count, depth, np.linspace(-3, 3, 13))
+        assert g_count.calls == depth
+        assert f_count.calls == 2
+
+    def test_depth_below_one_refused(self, walk_pair):
+        with pytest.raises(ValueError, match="depth"):
+            rr.finite_depth_residual(*walk_pair, 0, [1.0])
 
     def test_perturbed_candidate_violates(self, expansive_pair):
         measure, f, g = expansive_pair
