@@ -15,8 +15,8 @@ parallel streams.  Every Monte Carlo route draws its atom paths through
 :func:`path_chunks`.  ``Generator.choice`` with weights draws one uniform
 per index in row-major order, so the chunking never changes a draw.
 
-Every exact route, path laws and the spectral series terms alike, walks the
-paths through :func:`state_walk`, which merges equal states.
+The exact path laws walk the paths through :func:`state_walk`, which merges
+equal states; the spectral series terms group them by scale exponents.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import EnumerationTooLarge, RegimeMismatch, WindowTooSmall
 from .gridfn import half_grid
 from .measure import RandomAffineMeasure, Regime, classify_regime
 
-#: Most path states times atoms one exact walk depth may allocate.
+#: Most walk states times atoms, or scale groups times frequencies, per exact depth.
 ENUMERATION_CAP = 10_000_000
 
 #: Array elements per Monte Carlo block (path indices, or samples x frequencies).
@@ -199,12 +199,13 @@ def state_walk(measure: RandomAffineMeasure, which: str = "forward"):
             sums = (sums[:, None] - ms[None, :] * prods[:, None]).ravel()
         prods = denom.ravel()
         weights = (weights[:, None] * ps[None, :]).ravel()
-        key = prods + 1j * sums
-        uniq, index, inverse = np.unique(key, return_index=True, return_inverse=True)
-        if len(uniq) < len(key):
-            prods = prods[index]
-            sums = sums[index]
-            weights = np.bincount(inverse, weights=weights)
+        order = np.lexsort((sums, prods))
+        p, s = prods[order], sums[order]
+        first = np.ones(len(p), dtype=bool)
+        first[1:] = (p[1:] != p[:-1]) | (s[1:] != s[:-1])
+        if not first.all():
+            prods, sums = p[first], s[first]
+            weights = np.bincount(np.cumsum(first) - 1, weights=weights[order])
         yield prods, sums, weights
 
 

@@ -23,13 +23,12 @@ and letting N grow yields one closed formula per regime:
 critical regime (E log|L| = 0) has non-unique solution families and the
 solver refuses it; the verifier still works there.
 
-Exact evaluation of T_n has one source, :func:`exact_terms`.  Identical
-scales make the path average factor exactly (the phase increments are then
-independent), which keeps deep series affordable; otherwise T_n is read off
-the merged state walk of :func:`randrefine.perpetuity.state_walk`, which is
-capped.  Monte Carlo sampling mirrors both for cross-validation.  Every
-route yields T_n depth by depth to one summation loop, on |x| only: for
-real g, T_n[g](-x) = conj(T_n[g](x)).
+Exact evaluation of T_n has one source, :func:`exact_terms`.  It groups
+the paths by how often each distinct scale was drawn, which is exact since
+the next phase increment depends on a path only through its scale product;
+one scale makes one group.  Monte Carlo sampling mirrors it for
+cross-validation.  Every route yields T_n depth by depth to one summation
+loop, on |x| only: for real g, T_n[g](-x) = conj(T_n[g](x)).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .errors import (
 from .gridfn import GridFn, half_grid
 from .measure import RandomAffineMeasure, Regime, RegimeReport, classify_regime
 from .perpetuity import (
-    CHUNK_ELEMS, estimate_charfn, forward_paths, generator, path_chunks, state_walk,
+    CHUNK_ELEMS, ENUMERATION_CAP, estimate_charfn, forward_paths, generator, path_chunks,
 )
 
 
@@ -116,59 +115,52 @@ def symmetric_grid(x_max: float, points: int) -> np.ndarray:
 # path-average terms
 # ---------------------------------------------------------------------------
 
-def _deterministic_scale(measure: RandomAffineMeasure) -> float | None:
-    ls = measure.scales
-    return float(ls[0]) if np.all(ls == ls[0]) else None
-
-
-def _shift_charfn(measure: RandomAffineMeasure, u: np.ndarray) -> np.ndarray:
-    """E exp(i u M) for the atom shifts, elementwise in u."""
-    out = np.zeros(np.shape(u), dtype=complex)
-    for _, m, p in measure.atoms:
-        out += p * np.exp(1j * m * u)
-    return out
-
-
-def _term_from_states(h: ClosedFormFn, xs, prods, sums, weights) -> np.ndarray:
-    out = np.zeros(len(xs), dtype=complex)
-    block = max(1, 4_000_000 // max(len(xs), 1))
-    for start in range(0, len(prods), block):
-        p = prods[start:start + block]
-        s = sums[start:start + block]
-        w = weights[start:start + block]
-        phases = np.exp(1j * np.multiply.outer(xs, s))
-        hh = h.fourier(np.multiply.outer(xs, 1.0 / p))
-        out += (phases * hh) @ w
-    return out
-
-
-def _shared_products(measure, xs, l0):
-    """``(l0**n, prod_{k<=n} E exp(i xs M / l0**k))`` for n = 1, 2, ...: the
-    scale product and the phase average of depth n when every scale is ``l0``."""
-    pw = 1.0
-    phase = np.ones(len(xs), dtype=complex)
-    while True:
-        pw *= l0
-        # a fresh array multiplied in place: numpy may round a one-element
-        # complex product differently in place and out of place
-        phase = phase.copy()
-        phase *= _shift_charfn(measure, xs / pw)
-        yield pw, phase
+def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
+    """Per depth n = 1, 2, ...: the products ``P_c`` and phase averages
+    ``Phi_c = E[exp(i xs S_n); c]`` of the paths grouped by scale exponents c.
+    The next increment ``M / (P_c L)`` depends on c only, so ``Phi_{c+e_k}``
+    sums ``p_i exp(i m_i xs / P_{c+e_k}) Phi_c`` over the atoms of scale
+    ``s_k``: exact, and one group for one scale.  Depths over the cap are refused."""
+    scales = np.unique(measure.scales)
+    shifts = [[(m, p) for l, m, p in measure.atoms if l == s] for s in scales]
+    d = len(scales)
+    keys, prods, phis = np.zeros((1, d), int), np.ones(1), np.ones((1, len(xs)), complex)
+    for depth in itertools.count(1):
+        groups = math.comb(depth + d - 1, d - 1)
+        if groups * max(len(xs), 1) > ENUMERATION_CAP:
+            raise EnumerationTooLarge(
+                f"{groups} scale groups x {len(xs)} frequencies at depth {depth} exceed the "
+                f"cap {ENUMERATION_CAP}; use fewer x_points, a larger eps or --strategy mc")
+        # scale-major steps c + e_k: a key's first occurrence is its first contribution
+        steps = (keys[None] + np.eye(d, dtype=int)[:, None]).reshape(-1, d)
+        keys, first, target = np.unique(steps, axis=0, return_index=True, return_inverse=True)
+        prods = np.multiply.outer(scales, prods).ravel()[first]
+        u = xs / prods[:, None]
+        new = np.empty((len(keys), len(xs)), dtype=complex)
+        for k, t in enumerate(target.reshape(d, -1)):
+            factor = np.zeros((len(t), len(xs)), dtype=complex)
+            for m, p in shifts[k]:
+                factor += p * np.exp(1j * m * u[t])
+            phase = phis.copy()  # in place: numpy may round out of place differently
+            phase *= factor
+            fresh = first[t] == k * len(t) + np.arange(len(t))
+            new[t[fresh]] = phase[fresh]
+            new[t[~fresh]] += phase[~fresh]
+        phis = new
+        yield prods, phis
 
 
 def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray):
-    """Per depth n = 1, 2, ...: the map ``h -> T_n[h]`` on ``xs``, exact.
-
-    The shared-scale product when all scales coincide, the merged state
-    walk otherwise; one walk serves every ``h`` of a depth.
-    """
-    l0 = _deterministic_scale(measure)
-    if l0 is not None:
-        for pw, phase in _shared_products(measure, xs, l0):
-            yield lambda h, pw=pw, phase=phase: phase * h.fourier(xs / pw)
-    else:
-        for states in state_walk(measure):
-            yield lambda h, states=states: _term_from_states(h, xs, *states)
+    """Per depth n = 1, 2, ...: the map ``h -> T_n[h] = sum_c hhat(xs / P_c)
+    Phi_c`` over the groups of :func:`_lattice`, one ``h.fourier`` call each."""
+    for prods, phis in _lattice(measure, xs):
+        def term(h, prods=prods, phis=phis):
+            hh = h.fourier(xs / prods[:, None])
+            out = phis[0] * hh[0]
+            for phi, hk in zip(phis[1:], hh[1:]):
+                out += phi * hk
+            return out
+        yield term
 
 
 def series_term(
@@ -269,8 +261,8 @@ def sum_series_grid(
 ) -> tuple[np.ndarray, TruncationReport]:
     """Sum the path-average series over a frequency grid.
 
-    Every route (shared-scale product, merged state walk, Monte Carlo)
-    feeds one stopping rule: terms are added until the grid maximum of
+    Both routes (the exact scale-exponent lattice, Monte Carlo) feed one
+    stopping rule: terms are added until the grid maximum of
     |T_n[g]| stays below ``eps`` for three consecutive depths (robust
     against oscillatory terms), or ``n_max`` is reached, which is flagged
     as non-convergence in the report rather than raised.
@@ -318,8 +310,8 @@ def forward_charfn_product(
     function along the geometric argument sequence; the tail of the product
     is cut once its deviation from 1 is below ``tol``.
     """
-    l0 = _deterministic_scale(measure)
-    if l0 is None or abs(l0) <= 1.0:
+    scales = np.unique(measure.scales)
+    if len(scales) > 1 or abs(scales[0]) <= 1.0:
         raise EnumerationTooLarge(
             "exact forward limit needs a single scale of modulus > 1; "
             "use the Monte Carlo strategy instead"
@@ -330,8 +322,9 @@ def forward_charfn_product(
     if mmax == 0.0:
         return out
     xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
-    for _, (pw, out) in zip(range(max_factors), _shared_products(measure, xs, l0)):
-        if xmax * mmax / (abs(pw) * (abs(l0) - 1.0)) < tol:
+    for _, (prods, phis) in zip(range(max_factors), _lattice(measure, xs)):
+        out = phis[0]
+        if xmax * mmax / (abs(prods[0]) * (abs(scales[0]) - 1.0)) < tol:
             break
     return out
 
@@ -360,7 +353,7 @@ def solve_spectrum(
     shifts the forward-limit factor comes from the exact product when the
     scale is deterministic (exact strategy) or from Monte Carlo estimation.
 
-    Expansive measures with mixed scales lack a finite sufficient check for
+    Expansive maps with a common fixed point fail the sufficient check for
     the forward series; they are refused unless ``allow_unverified`` is set.
     """
     report = regime_report or classify_regime(measure)

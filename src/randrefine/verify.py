@@ -134,12 +134,9 @@ def residual_fourier(
     x_probes,
 ) -> float:
     """Sup over probes of the transform-side residual
-    |fhat(x) - sum_i p_i exp(i x m_i/l_i) fhat(x/l_i) - ghat(x)|."""
-    xs = np.atleast_1d(np.asarray(x_probes, dtype=float))
-    r = f.fourier(xs) - g.fourier(xs)
-    for l, m, p in measure.atoms:
-        r = r - p * np.exp(1j * xs * m / l) * f.fourier(xs / l)
-    return float(np.max(np.abs(r)))
+    |fhat(x) - sum_i p_i exp(i x m_i/l_i) fhat(x/l_i) - ghat(x)|, the depth-1
+    case of :func:`finite_depth_residual`."""
+    return finite_depth_residual(measure, f, g, 1, x_probes)
 
 
 def finite_depth_residual(

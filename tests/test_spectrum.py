@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import randrefine as rr
-from randrefine.perpetuity import generator
+from randrefine.perpetuity import generator, state_walk
 
 
 def _inverse_direct(values_w, xs, ts):
@@ -67,6 +69,60 @@ def _series_term_mc_single_draw(measure, h, x, n, sample_count, seed):
     est = complex(vals.mean())
     stderr = math.sqrt((vals.real.var() + vals.imag.var()) / sample_count)
     return est, stderr
+
+
+def _walk_terms_oracle(measure, h, xs, depth):
+    """Reference oracle: T_1[h] .. T_depth[h] on ``xs`` read off the merged
+    ``(P, S)`` state walk, one column of phases per path state (the former
+    mixed-scale route)."""
+    terms = []
+    for _, (prods, sums, weights) in zip(range(depth), state_walk(measure)):
+        out = np.zeros(len(xs), dtype=complex)
+        block = max(1, 4_000_000 // max(len(xs), 1))
+        for start in range(0, len(prods), block):
+            p = prods[start:start + block]
+            s = sums[start:start + block]
+            w = weights[start:start + block]
+            phases = np.exp(1j * np.multiply.outer(xs, s))
+            hh = h.fourier(np.multiply.outer(xs, 1.0 / p))
+            out += (phases * hh) @ w
+        terms.append(out)
+    return terms
+
+
+def _shared_products_oracle(measure, xs):
+    """Reference oracle: ``(l0**n, prod_{k<=n} E exp(i xs M / l0**k))`` for
+    n = 1, 2, ... when every scale is ``l0`` (the former shared-scale route)."""
+    l0 = float(measure.scales[0])
+    pw = 1.0
+    phase = np.ones(len(xs), dtype=complex)
+    while True:
+        pw *= l0
+        factor = np.zeros(len(xs), dtype=complex)
+        for _, m, p in measure.atoms:
+            factor += p * np.exp(1j * m * (xs / pw))
+        phase = phase.copy()
+        phase *= factor
+        yield pw, phase
+
+
+def _shared_exact_terms_oracle(measure, xs):
+    for pw, phase in _shared_products_oracle(measure, xs):
+        yield lambda h, pw=pw, phase=phase: phase * h.fourier(xs / pw)
+
+
+def _forward_charfn_product_oracle(measure, xs, tol=1e-15, max_factors=2000):
+    """Reference oracle: the former single-scale forward-limit product."""
+    l0 = float(measure.scales[0])
+    out = np.ones(len(xs), dtype=complex)
+    mmax = float(np.max(np.abs(measure.shifts)))
+    if mmax == 0.0:
+        return out
+    xmax = float(np.max(np.abs(xs)))
+    for _, (pw, out) in zip(range(max_factors), _shared_products_oracle(measure, xs)):
+        if xmax * mmax / (abs(pw) * (abs(l0) - 1.0)) < tol:
+            break
+    return out
 
 
 class CountingFourier:
@@ -266,6 +322,108 @@ class TestHalfGrid:
         for x, v in zip(grid, values):
             point, _ = rr.sum_series(measure, g, x, strategy, eps=0.0, n_max=14)
             assert abs(v - point) <= 1e-13
+
+
+def assert_lattice_matches_walk(measure, xs, depth):
+    h = rr.gaussian(0, 1) - rr.gaussian(2, 1)
+    oracle = _walk_terms_oracle(measure, h, xs, depth)
+    # relative to the largest |term| of the depths compared (a deep term may
+    # be a small remainder of cancelling paths); subnormals carry no precision
+    scale = max(float(np.max(np.abs(oracle))), np.finfo(float).tiny)
+    for n, (term, expected) in enumerate(zip(rr.spectrum.exact_terms(measure, xs), oracle), 1):
+        assert np.max(np.abs(term(h) - expected)) <= 1e-14 * scale, n
+
+
+SINGLE_SCALE = {
+    "contractive-one-atom": [(0.5, 1.0, 1.0)],
+    "contractive-two-atoms": [(0.5, 1.0, 0.5), (0.5, -1.0, 0.5)],
+    "expansive": [(2.0, 0.5, 0.5), (2.0, -1.0, 0.5)],
+    "negative-scale": [(-3.0, 1.0, 0.3), (-3.0, 0.0, 0.4), (-3.0, 2.0, 0.3)],
+}
+
+
+class TestScaleLattice:
+    """The scale-exponent lattice is the one exact source of T_n."""
+
+    @pytest.mark.parametrize("atoms", [
+        [(0.5, 1.0, 0.5), (0.25, -1.0, 0.25), (0.75, 0.5, 0.25)],
+        # the exact-mixed benchmark's shape: scales 0.5 and 0.75 share a fixed point
+        [(0.5, -0.75, 0.5), (0.25, 1.125, 0.25), (0.75, -0.375, 0.25)],
+        [(2.0, 1.0, 0.4), (0.5, -1.0, 0.6)],
+        [(-0.5, 1.0, 0.3), (0.7, 0.2, 0.4), (0.5, -1.0, 0.3)],
+    ], ids=["probe", "exact-mixed", "two-scale", "negative-scale"])
+    def test_matches_walk_oracle(self, atoms):
+        assert_lattice_matches_walk(rr.build_measure(atoms), np.linspace(-9.0, 9.0, 37), 9)
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_SCALE))
+    def test_single_scale_series_matches_shared_product_bytes(self, name, monkeypatch):
+        measure = rr.build_measure(SINGLE_SCALE[name])
+        g = rr.manufacture_inhomogeneity(measure, rr.gaussian(0, 1) - rr.gaussian(2, 1))
+        xs = rr.symmetric_grid(40.0, 4097)
+        for eps in (0.0, 1e-10):
+            values, report = rr.sum_series_grid(measure, g, xs, eps=eps)
+            with monkeypatch.context() as patch:
+                patch.setattr(rr.spectrum, "exact_terms", _shared_exact_terms_oracle)
+                oracle, oracle_report = rr.sum_series_grid(measure, g, xs, eps=eps)
+            assert report == oracle_report
+            assert values.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("atoms", [
+        [(2.0, 0.0, 0.5), (2.0, 1.0, 0.5)],
+        [(3.0, 1.0, 0.5), (3.0, -1.0, 0.25), (3.0, 0.0, 0.25)],
+        [(-3.0, 1.0, 0.3), (-3.0, 0.0, 0.4), (-3.0, 2.0, 0.3)],
+        [(2.0, 0.0, 1.0)],
+    ])
+    def test_forward_charfn_product_matches_shared_product_bytes(self, atoms):
+        measure = rr.build_measure(atoms)
+        for xs in (rr.symmetric_grid(40.0, 4097), np.array([1.3])):
+            assert (rr.forward_charfn_product(measure, xs).tobytes()
+                    == _forward_charfn_product_oracle(measure, xs).tobytes())
+
+    def test_refused_at_predicted_depth(self, monkeypatch):
+        monkeypatch.setattr(rr.spectrum, "ENUMERATION_CAP", 100)
+        measure = rr.build_measure([(0.5, 1.0, 0.5), (0.25, -1.0, 0.25), (0.75, 0.5, 0.25)])
+        g = rr.gaussian(0, 1) - rr.gaussian(2, 1)
+        xs = np.linspace(0.5, 2.5, 5)
+        # C(n + 2, 2) groups x 5 frequencies first exceed 100 at depth 5
+        lattice = rr.spectrum._lattice(measure, xs)
+        for n in range(1, 5):
+            prods, phis = next(lattice)
+            assert len(prods) == len(phis) == math.comb(n + 2, 2)
+        refusal = r"21 scale groups x 5 frequencies at depth 5 .*x_points.*eps.*--strategy mc"
+        with pytest.raises(rr.EnumerationTooLarge, match=refusal):
+            next(lattice)
+        with pytest.raises(rr.EnumerationTooLarge, match=refusal):
+            rr.sum_series_grid(measure, g, rr.symmetric_grid(2.5, 9), eps=0.0)
+
+    def test_probe_measure_solves(self):
+        measure = rr.build_measure([(0.5, 1.0, 0.5), (0.25, -1.0, 0.25), (0.75, 0.5, 0.25)])
+        f = rr.gaussian(0, 1) - rr.gaussian(2, 1)
+        g = rr.manufacture_inhomogeneity(measure, f)
+        xs = rr.symmetric_grid(40.0, 1025)
+        spec = rr.solve_spectrum(measure, g, 0.0, xs)
+        assert spec.truncation.converged
+        assert np.max(np.abs(spec.values - f.fourier(xs))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([-2.0, -0.5, 0.25, 0.5, 0.75, 2.0, 3.0]),
+            st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.5]),
+                      st.floats(min_value=-2.0, max_value=2.0)),
+            st.integers(min_value=1, max_value=4),
+        ),
+        min_size=2, max_size=4,
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+def test_lattice_matches_walk_oracle_generated(atoms, depth):
+    assume(len({l for l, _, _ in atoms}) >= 2)
+    total = sum(w for _, _, w in atoms)
+    measure = rr.build_measure([(l, m, w / total) for l, m, w in atoms])
+    assert_lattice_matches_walk(measure, np.array([-4.1, 0.0, 0.6, 1.9, 6.3]), depth)
 
 
 class TestForwardCharfnProduct:

@@ -17,6 +17,15 @@ def _finite_depth_residual_oracle(measure, f, g, depth, x_probes):
     return worst
 
 
+def _residual_fourier_oracle(measure, f, g, x_probes):
+    """Reference oracle: the depth-1 path average written out atom by atom."""
+    xs = np.atleast_1d(np.asarray(x_probes, dtype=float))
+    r = f.fourier(xs) - g.fourier(xs)
+    for l, m, p in measure.atoms:
+        r = r - p * np.exp(1j * xs * m / l) * f.fourier(xs / l)
+    return float(np.max(np.abs(r)))
+
+
 @pytest.fixture(scope="module")
 def walk_pair():
     """Mixed-scale contractive measure: its terms come from the merged walk."""
@@ -68,6 +77,16 @@ class TestResidualFourier:
     def test_expansive_manufactured_pair(self, expansive_pair):
         measure, f, g = expansive_pair
         assert rr.residual_fourier(measure, f, g, np.linspace(-5, 5, 41)) <= 1e-12
+
+
+    @pytest.mark.parametrize("pair", ["contractive_pair", "expansive_pair", "walk_pair"])
+    def test_matches_atomwise_oracle(self, request, pair):
+        measure, f, g = request.getfixturevalue(pair)
+        xs = [-2.9, -0.37, 0.0, 0.3, 1.0, 2.7, 7.5]
+        for cand in (f, f + rr.gaussian(1, 0.5)):
+            assert rr.residual_fourier(measure, cand, g, xs) == pytest.approx(
+                _residual_fourier_oracle(measure, cand, g, xs), abs=1e-14
+            )
 
 
 class TestFiniteDepthResidual:
