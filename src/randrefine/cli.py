@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,10 +52,6 @@ EXIT_NUMERIC = 5
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _load_config(path: str) -> tuple[dict, str]:
@@ -119,18 +116,19 @@ def _write_table(
     fmt: str,
 ):
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = list(zip(*columns))
+    rows = list(zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
     if fmt == "json":
         payload = {
             "provenance": provenance,
             "columns": header,
-            "rows": [[float(v) for v in row] for row in rows],
+            "rows": [list(row) for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
         path = out_dir / f"{name}.json"
     else:
         lines = [f"# {provenance}", ",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        row_fmt = ",".join(["%.17g"] * len(columns))
+        lines += [row_fmt % row for row in rows]
         text = "\n".join(lines) + "\n"
         path = out_dir / f"{name}.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -156,6 +154,8 @@ def _strategy(solver: dict, args, seed: int):
 
 def _x_grid(section: dict, x_max: float, points: int):
     x_max = _value(section, "x_max", x_max)
+    if not (math.isfinite(x_max) and x_max > 0):
+        raise ConfigError(f"'x_max' must be finite and positive, got {x_max!r}")
     points = _value(section, "x_points", points, int)
     if not 2 <= points <= MAX_GRID_NODES:
         raise ConfigError(f"'x_points' must be between 2 and {MAX_GRID_NODES}, got {points}")

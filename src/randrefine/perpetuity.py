@@ -256,7 +256,14 @@ def estimate_charfn(
     One common batch of draws serves every grid point, which keeps the
     estimate a smooth function of x.  It is evaluated on the distinct |x| and
     mirrored, so ``estimate(-x) == conj(estimate(x))`` exactly.  ``stderr``
-    combines the real and imaginary sample variances: sqrt((var_re + var_im) / n).
+    combines the real and imaginary sample variances of each row of phases:
+    sqrt((var_re + var_im) / n).
+
+    When the distinct |x| are affine, ``x_k = x_0 + k dx`` within 4 ulps of
+    the largest, row k of phases ``exp(i x_k z)`` is row k-1 times
+    ``exp(i dx z)``: one complex multiply per draw instead of one complex
+    exp, at about ``8k`` ulps of added rounding.  Any other point set takes
+    the exp row by row.  A non-finite frequency raises ``ValueError``.
 
     Outside the expansive regime the series need not converge; the call is
     refused unless ``allow_divergent`` is set, in which case the estimate
@@ -278,18 +285,26 @@ def estimate_charfn(
             raise ValueError("explicit depth required with allow_divergent")
         depth = forward_truncation_depth(measure)
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x_grid must hold finite frequencies")
     z = draw_forward(measure, depth, sample_count, rng_seed)
 
     half, mirror = half_grid(xs)
     values = np.empty(len(half), dtype=complex)
     stderr = np.empty(len(half))
-    block = max(1, CHUNK_ELEMS // 2 // sample_count)
-    for start in range(0, len(half), block):
-        xb = half[start:start + block]
-        phases = np.exp(1j * np.multiply.outer(xb, z))
-        values[start:start + len(xb)] = phases.mean(axis=1)
-        var = phases.real.var(axis=1) + phases.imag.var(axis=1)
-        stderr[start:start + len(xb)] = np.sqrt(var / sample_count)
+    step = None
+    if len(half) > 1:  # two points are always affine: their drift is at most 1 ulp
+        dx = (half[-1] - half[0]) / (len(half) - 1)
+        drift = np.abs(half - (half[0] + np.arange(len(half)) * dx))
+        if np.all(drift <= 4 * np.spacing(half[-1])):
+            step = np.exp(1j * (dx * z))
+    for k, x in enumerate(half):
+        if k and step is not None:
+            row *= step
+        else:
+            row = np.exp(1j * (x * z))
+        values[k] = row.mean()
+        stderr[k] = np.sqrt((row.real.var() + row.imag.var()) / sample_count)
     return PerpetuityEstimate(
         sample_count=sample_count,
         depth=depth,

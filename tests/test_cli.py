@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import randrefine as rr
-from randrefine.cli import main
+from randrefine.cli import _write_table, main
 
 
 def write_config(tmp_path, name="problem.json", **overrides):
@@ -107,6 +108,43 @@ def test_malformed_config_value_exit_one(tmp_path, capsys, command, entries, fla
     cfg = write_config(tmp_path, **entries)
     assert main([command, str(cfg), "--out-dir", str(tmp_path / "out"), *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("x_max", [float("nan"), float("inf"), 0.0, -5.0],
+                         ids=["nan", "infinity", "zero", "negative"])
+@pytest.mark.parametrize("command, section", [("solve", "grid"), ("perpetuity", "perpetuity")])
+def test_bad_frequency_window_exit_one(tmp_path, capsys, command, section, x_max):
+    cfg = write_config(
+        tmp_path,
+        measure=[{"l": 2, "m": 0, "p": 0.5}, {"l": 2, "m": 1, "p": 0.5}],
+        **{section: {"x_max": x_max, "x_points": 21}},
+    )
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out-dir", str(out), "--samples", "100"]) == 1
+    assert capsys.readouterr().err.startswith("error: 'x_max' must be finite and positive")
+    assert not out.exists()
+
+
+def _fmt_oracle(v) -> str:
+    """Reference oracle: the per-value CSV formatter."""
+    return f"{float(v):.17g}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_matches_per_value_oracle_bytes(tmp_path, fmt):
+    a = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300,
+                  3.0, -42.0, 2.0**53, 0.1, 1 / 3, -2.5e-17])
+    columns = [a, a[::-1].copy(), np.arange(len(a))]
+    path = _write_table(tmp_path, "table", ["a", "b", "c"], columns, "prov", fmt)
+    rows = list(zip(*columns))
+    if fmt == "csv":
+        lines = ["# prov", "a,b,c"] + [",".join(_fmt_oracle(v) for v in row) for row in rows]
+        expected = "\n".join(lines) + "\n"
+    else:
+        payload = {"provenance": "prov", "columns": ["a", "b", "c"],
+                   "rows": [[float(v) for v in row] for row in rows]}
+        expected = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestSolve:

@@ -318,22 +318,65 @@ class TestCharfnEstimate:
         vals = est.charfn_values
         assert np.array_equal(vals[:3], np.conj(vals[:2:-1]))
 
-    @pytest.mark.parametrize("xs", [
-        rr.symmetric_grid(10.0, 201),
-        np.random.default_rng(3).permutation(rr.symmetric_grid(6.0, 25)),
-        np.linspace(-6.0, 6.0, 24),
-        np.array([0.0]),
-        np.array([-5.0, -0.5, -2.0, -0.5]),
-        np.array([-3.0, 2.0]),
+    @pytest.mark.parametrize("xs, affine", [
+        (rr.symmetric_grid(10.0, 201), True),
+        (np.random.default_rng(3).permutation(rr.symmetric_grid(6.0, 25)), True),
+        (np.linspace(-6.0, 6.0, 24), False),  # its |x| fold into 19 uneven values
+        (np.array([0.0]), False),
+        (np.array([-5.0, -0.5, -2.0, -0.5]), False),
+        (np.array([-3.0, 2.0]), True),
     ], ids=["symmetric", "shuffled", "even-linspace", "zero", "negative-only", "mixed-sign"])
     @pytest.mark.parametrize("samples", [1, 20_000])
-    def test_half_grid_matches_full_grid_oracle_bytes(self, xs, samples):
+    def test_half_grid_matches_full_grid_oracle_bytes(self, xs, affine, samples):
+        """Byte-equal to the direct phase matrix off the phase recurrence; on
+        an affine |x| set the recurrence adds only a few ulps per row."""
         m = rr.build_measure([(2.0, 0.0, 0.5), (3.0, 1.0, 0.3), (-2.0, -0.5, 0.2)])
         est = rr.estimate_charfn(m, xs, samples, rng_seed=9)
         values, stderr = _charfn_full_grid_oracle(m, xs, samples, est.depth, 9)
         assert est.charfn_x.tobytes() == xs.tobytes()
+        if affine:
+            assert np.max(np.abs(est.charfn_values - values)) <= 1e-14
+            np.testing.assert_allclose(est.charfn_stderr, stderr, rtol=1e-13, atol=0.0)
+        else:
+            assert est.charfn_values.tobytes() == values.tobytes()
+            assert est.charfn_stderr.tobytes() == stderr.tobytes()
+        assert np.all(est.charfn_stderr[xs == 0.0] == 0.0)
+        if samples == 1:
+            assert np.all(est.charfn_stderr == 0.0)
+
+    def test_affine_grid_takes_recurrence_bytes(self):
+        xs = rr.symmetric_grid(4.0, 9)
+        m = rr.build_measure([(2.0, 0.0, 0.5), (3.0, 1.0, 0.3), (-2.0, -0.5, 0.2)])
+        est = rr.estimate_charfn(m, xs, 3000, rng_seed=4)
+        z = pp.draw_forward(m, est.depth, 3000, 4)
+        rows = [np.exp(1j * (0.0 * z))]
+        for _ in range(4):
+            rows.append(rows[-1] * np.exp(1j * (1.0 * z)))
+        values = np.array([row.mean() for row in rows])
+        assert est.charfn_values[4:].tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("mirror_too", [False, True], ids=["one-node", "mirror-pair"])
+    def test_perturbed_node_takes_direct_route_bytes(self, mirror_too):
+        xs = rr.symmetric_grid(10.0, 201)
+        xs[150] += 1e-9  # far above the affine test's 4 ulps
+        if mirror_too:  # the same 101 distinct |x|, one of them off the line
+            xs[50] -= 1e-9
+        m = rr.build_measure([(2.0, 0.0, 0.5), (3.0, 1.0, 0.3), (-2.0, -0.5, 0.2)])
+        est = rr.estimate_charfn(m, xs, 3000, rng_seed=4)
+        values, stderr = _charfn_full_grid_oracle(m, xs, 3000, est.depth, 4)
         assert est.charfn_values.tobytes() == values.tobytes()
         assert est.charfn_stderr.tobytes() == stderr.tobytes()
+
+    @pytest.mark.parametrize("xs", [[1.0, np.nan], [np.inf], [-np.inf, 0.0]])
+    def test_nonfinite_frequency_refused(self, xs):
+        m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
+        with pytest.raises(ValueError, match="finite"):
+            rr.estimate_charfn(m, xs, 100)
+
+    def test_empty_grid_gives_empty_arrays(self):
+        m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
+        est = rr.estimate_charfn(m, [], 100)
+        assert est.charfn_values.shape == est.charfn_stderr.shape == (0,)
 
     def test_modulus_bound(self):
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
@@ -355,6 +398,28 @@ class TestCharfnEstimate:
         est = rr.estimate_charfn(critical, [1.0], 100, depth=8,
                                  allow_divergent=True)
         assert est.divergent_regime
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([
+        [(2.0, 0.0, 0.5), (3.0, 1.0, 0.3), (-2.0, -0.5, 0.2)],
+        [(1.5, 40.0, 0.5), (2.5, -7.0, 0.5)],
+    ]),
+    st.integers(0, 10**4), st.integers(1, 10**4), st.integers(0, 20),
+    st.integers(1, 300), st.integers(1, 5000), st.integers(0, 2**32),
+)
+def test_affine_recurrence_within_rounding_bound(atoms, a, b, e, k, samples, seed):
+    """On the affine grid ``x_j = (a + j b) / 2**e`` (exact in floats) the
+    recurrence's values are within ``(max|x| max|z| + 8k) eps`` of the direct
+    phase means: the phase roundings of both routes plus a few ulps a row."""
+    m = rr.build_measure(atoms)
+    xs = (a + b * np.arange(k)) / 2.0**e
+    est = rr.estimate_charfn(m, xs, samples, rng_seed=seed)
+    values, _ = _charfn_full_grid_oracle(m, xs, samples, est.depth, seed)
+    z = pp.draw_forward(m, est.depth, samples, seed)
+    bound = (xs.max() * np.abs(z).max() + 8 * k) * np.finfo(float).eps
+    assert np.max(np.abs(est.charfn_values - values)) <= bound
 
 
 @pytest.mark.parametrize("count", [0, -3])
