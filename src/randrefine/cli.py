@@ -207,7 +207,7 @@ def cmd_solve(args) -> int:
     try:
         spec = solve_spectrum(measure, g, mass, xs, strategy=strategy,
                               eps=eps, n_max=n_max, regime_report=report)
-    except ValueError as exc:  # a Monte Carlo draw over the budget
+    except ValueError as exc:  # an out-of-range eps or n_max, or a draw over the budget
         raise ConfigError(str(exc)) from exc
     recovered = invert_spectrum(spec, ts)
 

@@ -115,6 +115,13 @@ def symmetric_grid(x_max: float, points: int) -> np.ndarray:
 # path-average terms
 # ---------------------------------------------------------------------------
 
+def _finite_frequencies(x_grid) -> np.ndarray:
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("frequencies must be finite")
+    return xs
+
+
 def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
     """Per depth n = 1, 2, ...: the products ``P_c`` and phase averages
     ``Phi_c = E[exp(i xs S_n); c]`` of the paths grouped by scale exponents c.
@@ -170,10 +177,10 @@ def series_term(
     n: int,
 ) -> complex:
     """The exact depth-n path average T_n[h](x); :func:`series_term_mc`
-    estimates it by sampling."""
+    estimates it by sampling.  A non-finite ``x`` raises ``ValueError``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = exact_terms(measure, np.atleast_1d(float(x)))
+    terms = exact_terms(measure, _finite_frequencies(float(x)))
     return complex(next(itertools.islice(terms, n - 1, None))(h)[0])
 
 
@@ -185,14 +192,21 @@ def series_term_mc(
     sample_count: int,
     seed: int = 0,
 ) -> tuple[complex, float]:
-    """Monte Carlo estimate of T_n[h](x) with its standard error."""
+    """Monte Carlo estimate of T_n[h](x) with its standard error.
+
+    ``hhat`` is evaluated once per distinct scale product and gathered to
+    the paths, so the estimate is byte-identical to one evaluation per path.
+    A non-finite ``x`` raises ``ValueError``.
+    """
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
+    _finite_frequencies(x)
     chunks = path_chunks(measure, n, sample_count, generator(seed))
     sums, prods = np.empty((2, sample_count))
     for rows, idx in chunks:
         sums[rows], prods[rows] = forward_paths(measure, idx)
-    vals = np.exp(1j * x * sums) * h.fourier(x / prods)
+    u, inv = np.unique(prods, return_inverse=True)
+    vals = np.exp(1j * x * sums) * h.fourier(x / u)[inv]
     est = complex(vals.mean())
     stderr = math.sqrt((vals.real.var() + vals.imag.var()) / sample_count)
     return est, stderr
@@ -209,6 +223,9 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
     depends on where the caller stops, and the running scale product and
     phase sum of each sample equal ``np.cumprod`` / ``np.cumsum`` bit for
     bit.  Indices are stored depth-major in the smallest integer type.
+    ``hhat`` is evaluated once per distinct product at each depth and
+    gathered to the paths: the same floats through the same elementwise
+    ufuncs, so every term is byte-identical to one evaluation per path.
     """
     ls, ms = measure.scales, measure.shifts
     small = np.min_scalar_type(len(ls) - 1)
@@ -221,11 +238,12 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
         for idx, p, s in chunks:
             p *= ls[idx[n]]
             s += ms[idx[n]] / p
+            u, inv = np.unique(p, return_inverse=True)
             xblock = max(1, CHUNK_ELEMS // len(p))
             for start in range(0, len(xs), xblock):
                 xb = xs[start:start + xblock]
                 phases = np.exp(1j * np.multiply.outer(xb, s))
-                hh = h.fourier(np.multiply.outer(xb, 1.0 / p))
+                hh = h.fourier(np.multiply.outer(xb, 1.0 / u))[:, inv]
                 term[start:start + len(xb)] += (phases * hh).sum(axis=1)
         yield term / sample_count
 
@@ -272,8 +290,15 @@ def sum_series_grid(
     filled in by conjugation.  Monte Carlo draws every path before the
     first term, so stopping early changes how many depths are computed,
     never an estimate.
+
+    Raises ``ValueError`` for a non-finite frequency, ``n_max < 1``, or an
+    ``eps`` that is not finite and ``>= 0``.
     """
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    xs = _finite_frequencies(x_grid)
     half, mirror = half_grid(xs)
     terms = _terms(measure, g, half, strategy, n_max)
     total, report = _sum_terms(terms, len(half), eps, n_max)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import randrefine as rr
+
+# Selected in CI with --hypothesis-profile=ci: a failing example then also
+# prints the @reproduce_failure blob that replays it.  It replaces hypothesis's
+# own ci profile, which derandomizes; built on the default, examples stay random.
+settings.register_profile("ci", settings.get_profile("default"), print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -125,6 +125,22 @@ def test_bad_frequency_window_exit_one(tmp_path, capsys, command, section, x_max
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entries, flags, message", [
+    ({}, ["--n-max", "0"], "n_max must be >= 1"),
+    ({"solver": {"n_max": -1}}, [], "n_max must be >= 1"),
+    ({}, ["--eps", "nan"], "eps must be finite and >= 0"),
+    ({}, ["--eps", "-1"], "eps must be finite and >= 0"),
+    ({}, ["--eps", "inf"], "eps must be finite and >= 0"),
+], ids=["zero-n-max-flag", "negative-n-max-config", "nan-eps-flag",
+        "negative-eps-flag", "infinite-eps-flag"])
+def test_bad_series_settings_exit_one(tmp_path, capsys, entries, flags, message):
+    cfg = write_config(tmp_path, **entries)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out-dir", str(out), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def _fmt_oracle(v) -> str:
     """Reference oracle: the per-value CSV formatter."""
     return f"{float(v):.17g}"

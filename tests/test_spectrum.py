@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import randrefine as rr
-from randrefine.perpetuity import generator, state_walk
+from randrefine.perpetuity import CHUNK_ELEMS, generator, state_walk
 
 
 def _inverse_direct(values_w, xs, ts):
@@ -74,10 +74,12 @@ def _series_term_mc_single_draw(measure, h, x, n, sample_count, seed):
 def _walk_terms_oracle(measure, h, xs, depth):
     """Reference oracle: T_1[h] .. T_depth[h] on ``xs`` read off the merged
     ``(P, S)`` state walk, one column of phases per path state (the former
-    mixed-scale route)."""
-    terms = []
+    mixed-scale route), with the absolute path sums
+    ``A_n = sum_paths w |hhat(xs / P)| >= |T_n[h]|`` of the same walk."""
+    terms, abs_sums = [], []
     for _, (prods, sums, weights) in zip(range(depth), state_walk(measure)):
         out = np.zeros(len(xs), dtype=complex)
+        bound = np.zeros(len(xs))
         block = max(1, 4_000_000 // max(len(xs), 1))
         for start in range(0, len(prods), block):
             p = prods[start:start + block]
@@ -86,8 +88,10 @@ def _walk_terms_oracle(measure, h, xs, depth):
             phases = np.exp(1j * np.multiply.outer(xs, s))
             hh = h.fourier(np.multiply.outer(xs, 1.0 / p))
             out += (phases * hh) @ w
+            bound += np.abs(hh) @ w
         terms.append(out)
-    return terms
+        abs_sums.append(bound)
+    return terms, abs_sums
 
 
 def _shared_products_oracle(measure, xs):
@@ -126,14 +130,17 @@ def _forward_charfn_product_oracle(measure, xs, tol=1e-15, max_factors=2000):
 
 
 class CountingFourier:
-    """Forwards ``fourier`` to a closed form and counts the calls."""
+    """Forwards ``fourier`` to a closed form, counts the calls and records
+    each argument's shape."""
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
+        self.shapes = []
 
     def fourier(self, x):
         self.calls += 1
+        self.shapes.append(np.shape(x))
         return self.fn.fourier(x)
 
 
@@ -142,6 +149,19 @@ def single_atom_term(l, m, ghat, x, n):
     exp(i x sum_{k<=n} m/l^k) * ghat(x / l^n)."""
     phase = sum(m / l ** k for k in range(1, n + 1))
     return cmath.exp(1j * x * phase) * ghat(x / l ** n)
+
+
+def _draw(measure, n_max, samples, seed):
+    """The atom indices ``path_chunks`` draws when they fit one chunk."""
+    assert samples * n_max <= CHUNK_ELEMS
+    return generator(seed).choice(len(measure), size=(samples, n_max), p=measure.weights)
+
+
+# Products collide across atoms: 2 * 2 = 4 and 4 * 0.5 = 2.
+COLLIDING = [(2.0, 0.5, 0.3), (4.0, -1.0, 0.5), (0.5, 1.5, 0.2)]
+# Scales with odd parts 3 and 5: equal exponent counts drawn in different
+# orders round apart once a product needs more than 53 bits.
+ROUND_APART = [(3.0, 0.5, 0.5), (5.0, -1.0, 0.3), (0.5, 1.5, 0.2)]
 
 
 class TestSeriesTerm:
@@ -208,6 +228,22 @@ class TestSeriesTerm:
         with pytest.raises(ValueError, match="depth|sample count"):
             rr.series_term_mc(m, g, 1.0, n, count)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_frequency_refused(self, x):
+        m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
+        g = rr.indicator(0, 1) - rr.indicator(1, 2)
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            rr.series_term(m, g, x, 2)
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            rr.series_term_mc(m, g, x, 2, 100)
+
+    def test_monte_carlo_evaluates_hhat_once_per_distinct_product(self):
+        m = rr.build_measure(ROUND_APART)
+        g = CountingFourier(rr.gaussian(0, 1) - rr.gaussian(1, 1))
+        rr.series_term_mc(m, g, 1.7, 40, 500, seed=3)
+        prods = np.cumprod(m.scales[_draw(m, 40, 500, 3)], axis=1)[:, -1]
+        assert g.shapes == [(len(np.unique(prods)),)]
+
 
 class TestSumSeries:
     def test_telescopes_to_solution_transform(self, contractive_pair):
@@ -259,7 +295,11 @@ class TestSumSeries:
         # 2_000_000 // 400 = 5000 rows per chunk
         ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], 12_000, 400),
         ([(-2.0, 0.0, 0.5), (3.0, 1.0, 0.25), (2.0, -0.5, 0.25)], 3_000, 60),
-    ], ids=["one-chunk", "three-chunks", "zero-shift-negative-scale"])
+        ([(2.0, 0.5, 0.5), (2.0, -1.0, 0.5)], 2_000, 60),
+        (COLLIDING, 2_000, 80),
+        (ROUND_APART, 2_000, 60),
+    ], ids=["one-chunk", "three-chunks", "zero-shift-negative-scale",
+            "single-scale", "colliding-products", "round-apart-products"])
     def test_streamed_monte_carlo_matches_upfront_oracle(self, atoms, samples, n_max):
         measure = rr.build_measure(atoms)
         g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
@@ -273,10 +313,56 @@ class TestSumSeries:
         assert report == oracle_report
         assert values.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"x_grid": [0.5, math.nan]}, "frequencies must be finite"),
+        ({"x_grid": [math.inf]}, "frequencies must be finite"),
+        ({"x_grid": [-math.inf, 1.0]}, "frequencies must be finite"),
+        ({"n_max": 0}, "n_max must be >= 1"),
+        ({"n_max": -2}, "n_max must be >= 1"),
+        ({"eps": math.nan}, "eps must be finite and >= 0"),
+        ({"eps": math.inf}, "eps must be finite and >= 0"),
+        ({"eps": -1.0}, "eps must be finite and >= 0"),
+    ], ids=["nan-x", "inf-x", "minus-inf-x", "zero-n-max", "negative-n-max",
+            "nan-eps", "inf-eps", "negative-eps"])
+    def test_bad_series_inputs_refused(self, kwargs, message):
+        m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
+        g = rr.indicator(0, 1) - rr.indicator(1, 2)
+        args = {"x_grid": [0.5, 1.0], "eps": 1e-10, "n_max": 5} | kwargs
+        with pytest.raises(ValueError, match=message):
+            rr.sum_series_grid(m, g, **args)
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_nonpositive_sample_count_refused(self, count):
         with pytest.raises(ValueError, match="sample_count"):
             rr.MonteCarloStrategy(sample_count=count)
+
+    @pytest.mark.parametrize("atoms, n_max", [
+        ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], 60),
+        ([(2.0, 0.5, 0.5), (2.0, -1.0, 0.5)], 60),
+        (COLLIDING, 80),
+        (ROUND_APART, 60),
+    ], ids=["mc-mixed", "single-scale", "colliding-products", "round-apart-products"])
+    def test_monte_carlo_evaluates_hhat_once_per_distinct_product(self, atoms, n_max):
+        measure = rr.build_measure(atoms)
+        g = CountingFourier(rr.gaussian(0, 1) - rr.gaussian(1, 1))
+        strategy = rr.MonteCarloStrategy(sample_count=500, seed=2)
+        xs = rr.symmetric_grid(8.0, 33)
+        _, report = rr.sum_series_grid(measure, g, xs, strategy, eps=0.0, n_max=n_max)
+        assert report.terms_used == n_max
+        # one chunk and one frequency block: one call per depth, on the
+        # 17 distinct |x| times the distinct products P_n of the drawn paths
+        drawn = measure.scales[_draw(measure, n_max, 500, 2)]
+        prods = np.cumprod(drawn, axis=1)
+        distinct = [len(np.unique(prods[:, n])) for n in range(n_max)]
+        assert g.shapes == [(17, k) for k in distinct]
+        assert distinct[0] <= len(np.unique(measure.scales))
+        assert max(distinct) < 500
+        # power-of-two factors multiply exactly, so only scales with odd
+        # parts 3 and 5 split one exponent count into several products
+        counts = np.cumsum(drawn[..., None] == np.unique(measure.scales), axis=1)
+        groups = [len(np.unique(counts[:, n], axis=0)) for n in range(n_max)]
+        split = any(d > c for d, c in zip(distinct, groups))
+        assert split == (atoms == ROUND_APART)
 
     def test_monte_carlo_evaluates_only_the_depths_it_sums(self):
         measure = rr.build_measure([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)])
@@ -326,10 +412,11 @@ class TestHalfGrid:
 
 def assert_lattice_matches_walk(measure, xs, depth):
     h = rr.gaussian(0, 1) - rr.gaussian(2, 1)
-    oracle = _walk_terms_oracle(measure, h, xs, depth)
-    # relative to the largest |term| of the depths compared (a deep term may
-    # be a small remainder of cancelling paths); subnormals carry no precision
-    scale = max(float(np.max(np.abs(oracle))), np.finfo(float).tiny)
+    oracle, abs_sums = _walk_terms_oracle(measure, h, xs, depth)
+    # relative to the largest absolute path sum of the depths compared: a
+    # term may be a small remainder of cancelling paths, or exactly 0 by
+    # symmetry while its summands are O(1); subnormals carry no precision
+    scale = max(float(np.max(abs_sums)), np.finfo(float).tiny)
     for n, (term, expected) in enumerate(zip(rr.spectrum.exact_terms(measure, xs), oracle), 1):
         assert np.max(np.abs(term(h) - expected)) <= 1e-14 * scale, n
 
@@ -419,6 +506,9 @@ class TestScaleLattice:
     ),
     st.integers(min_value=1, max_value=8),
 )
+# h is odd about t = 1, so with these scales every term is exactly 0 and the
+# lattice and the walk differ by rounding only (3.5e-18 at depth 2)
+@example(atoms=[(-0.5, -1.0, 2), (0.5, -1.0, 2)], depth=2)
 def test_lattice_matches_walk_oracle_generated(atoms, depth):
     assume(len({l for l, _, _ in atoms}) >= 2)
     total = sum(w for _, _, w in atoms)
