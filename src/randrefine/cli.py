@@ -238,7 +238,7 @@ def cmd_iterate(args) -> int:
 
     try:
         result = picard_iterate(measure, g, window, step, tol, max_iter)
-    except ValueError as exc:  # a window, step or max_iter out of range
+    except ValueError as exc:  # a window, step, tol or max_iter out of range
         raise ConfigError(str(exc)) from exc
     deriv = differentiate(result.cdf)
 

@@ -18,9 +18,19 @@ whether the derivative is summable by watching the L1 trend over
 growing windows.
 
 The image points ``l_i * t - m_i`` of the grid never change, so
-``picard_iterate`` searches the grid for them once per atom and every
-sweep is a gather over that plan, computed block by block with
-``np.interp``'s own formula so the values match it bit for bit.
+``picard_iterate`` locates them once per atom, by arithmetic on the
+uniform grid, and every sweep is a gather over that plan, computed block
+by block with ``np.interp``'s own formula so the values match it bit for
+bit.
+
+The linear part ``A v(t) = sum_i p_i v(l_i t - m_i)`` maps affine
+functions to affine functions, with eigenvalues 1 (constants) and
+``rho = E L``.  The affine mode is the slowest that the sweeps remove, so
+once two successive delta ratios settle on ``rho``, one sweep jumps to
+``T x + c (T x - x)`` with ``c = rho / (1 - rho)``: the sum of that mode's
+remaining geometric series.  A jump costs two in-cache operations per
+block.  ``deltas`` stay the plain residuals ``max|T x - x|``, a jump never
+ends a run, and so the values returned are always a plain sweep.
 """
 
 from __future__ import annotations
@@ -81,6 +91,9 @@ def picard_iterate(
     fixed point; the pair is used as a uniqueness check).  Points that the
     maps send outside the window are read through the extrapolation
     constants: 0 on the left, the current right-edge value on the right.
+    The run converges when a sweep changes no node by ``tol`` or more;
+    ``tol`` must be finite and non-negative, and 0 runs all ``max_iter``
+    sweeps.
 
     ``check_integral_identity=True`` additionally estimates the limit CDF of
     the backward iterates and warns (never fails) when
@@ -96,6 +109,8 @@ def picard_iterate(
         )
     if start not in ("zero", "forcing"):
         raise ValueError("start must be 'zero' or 'forcing'")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
     t_min, t_max = window
     n = grid_size(t_min, t_max, step)
@@ -120,9 +135,19 @@ def picard_iterate(
     term, gathered = np.empty(_BLOCK), np.empty(_BLOCK)
     blocks = range(0, n, _BLOCK)
     block_max = np.empty(len(blocks))
+    # The jump (see the module docstring) scales a mode of ratio r by
+    # (r - rho) / (1 - rho), so a half width of at most 0.1 (1 - rho)
+    # shrinks whatever mode settled in the window, and keeps a stall, whose
+    # ratio tends to 1, out of it.
+    rho = report.mean_scale
+    c = rho / (1.0 - rho)
+    width = min(0.05 * rho, 0.1 * (1.0 - rho))
+    settled, prev = 0, 0.0
     deltas: list[float] = []
     converged = False
-    for _ in range(max_iter):
+    for it in range(max_iter):
+        # Never on the last sweep, so the values returned are a plain T x.
+        jump = settled >= 2 and it < max_iter - 1
         # np.interp's formula: slope * (x - t[j]) + v[j], slope = dv / dt.
         np.subtract(values[1:], values[:-1], out=slopes)
         slopes /= dx
@@ -148,14 +173,27 @@ def picard_iterate(
                     out[max(b, s) - s:] += p * values[-1]
             d = term[:e - s]
             np.subtract(out, values[s:e], out=d)
+            if jump:
+                out += np.multiply(d, c, out=gathered[:e - s])
             block_max[k] = np.max(np.abs(d, out=d))
         values, new = new, values
         # np.max, not the built-in max, so a NaN delta propagates.
         delta = float(np.max(block_max))
         deltas.append(delta)
-        if delta < tol:
+        # A jumped iterate is never returned: a plain sweep follows it.
+        if delta < tol and not jump:
             converged = True
             break
+        # A ratio counts only between plain iterates: after a jump the streak
+        # restarts below 0, so the ratio that reads the jumped iterate is
+        # skipped and three plain sweeps separate two jumps.
+        if jump:
+            settled = -1
+        elif prev > 0 and abs(delta - rho * prev) <= width * prev:
+            settled += 1
+        else:
+            settled = 0
+        prev = delta
     cdf = GridFn(t_min, t_max, step, values, 0.0, float(values[-1]))
     return PicardResult(cdf, len(deltas), deltas[-1], converged, tuple(deltas))
 
@@ -167,13 +205,42 @@ def _interp_plan(nodes: np.ndarray, l: float, m: float):
     lie left of the window and read 0.0, points ``[b:]`` at or past its
     right end read ``v[-1]``, and point ``a + k`` lies ``off[k]`` past node
     ``j[k]``, inside its interval.
+
+    The nodes are ``np.linspace``'s, so the interval index is arithmetic:
+    ``trunc((p - t0) / h)``, then one step up or down against the nodes.
+    One step is enough.  With ``u = 2**-53`` and ``T = max|t0|, |t1|``, a
+    linspace node ``fl(fl(k h) + t0)`` lies within ``7.1 u T`` of
+    ``t0 + k H`` (``H`` the exact spacing), so the true index lies in
+    ``(s - 1 - 7.1 u T / H, s + 7.1 u T / H]`` for ``s = (p - t0) / H``;
+    the computed quotient is within ``4.01 u n`` of ``s``.  When
+    ``8 eps (T / h + n) < 1`` both slacks sum below 1, and the two integers
+    differ by at most 1.  Finer grids, whose spacing nears the rounding of
+    their own coordinates, take ``np.searchsorted``.
     """
+    n = len(nodes)
     pts = l * nodes - m
-    j = np.searchsorted(nodes, pts, side="right") - 1
-    a = int(np.searchsorted(j, 0))
-    b = int(np.searchsorted(j, len(nodes) - 1))
-    j = j[a:b]
-    return a, b, j.astype(np.int32), pts[a:b] - nodes[j]
+    a = int(np.searchsorted(pts, nodes[0], side="left"))
+    b = int(np.searchsorted(pts, nodes[-1], side="left"))
+    t0, t1 = float(nodes[0]), float(nodes[-1])
+    h = (t1 - t0) / (n - 1)
+    arithmetic = 8 * np.finfo(float).eps * (max(abs(t0), abs(t1)) / h + n) < 1
+    j, off = np.empty(b - a, np.int32), np.empty(b - a)
+    q, jj = np.empty(_BLOCK), np.empty(_BLOCK, np.intp)
+    for s in range(a, b, _BLOCK):
+        e = min(s + _BLOCK, b)
+        pb, qb, jb = pts[s:e], q[:e - s], jj[:e - s]
+        if arithmetic:
+            np.subtract(pb, t0, out=qb)
+            qb /= h
+            np.copyto(jb, qb, casting="unsafe")  # truncates; qb >= 0
+            np.minimum(jb, n - 2, out=jb)
+            jb += nodes[jb + 1] <= pb
+            jb -= nodes[jb] > pb
+        else:
+            np.subtract(np.searchsorted(nodes, pb, side="right"), 1, out=jb)
+        j[s - a:e - a] = jb
+        np.subtract(pb, nodes[jb], out=off[s - a:e - a])
+    return a, b, j, off
 
 
 def _warn_on_integral_identity(measure, g, sample_count: int = 20_000):

@@ -125,6 +125,20 @@ def test_bad_frequency_window_exit_one(tmp_path, capsys, command, section, x_max
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entries, flags", [
+    ({}, ["--tol", "nan"]),
+    ({}, ["--tol=-1e-9"]),
+    ({}, ["--tol", "inf"]),
+    ({"iterate": {"tol": -1}}, []),
+], ids=["nan-tol-flag", "negative-tol-flag", "infinite-tol-flag", "negative-tol-config"])
+def test_bad_tol_exit_one(tmp_path, capsys, entries, flags):
+    cfg = write_config(tmp_path, **entries)
+    out = tmp_path / "out"
+    assert main(["iterate", str(cfg), "--out-dir", str(out), "--step", "0.01", *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: tol must be finite and non-negative")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entries, flags, message", [
     ({}, ["--n-max", "0"], "n_max must be >= 1"),
     ({"solver": {"n_max": -1}}, [], "n_max must be >= 1"),

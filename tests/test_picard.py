@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import randrefine as rr
 import randrefine.gridfn as gridfn
@@ -10,14 +11,18 @@ from randrefine.picard import _BLOCK, _interp_plan
 
 
 def _picard_interp_oracle(measure, g, window, step, tol, max_iter, start):
-    """The sweep loop as it was before the precomputed plan: one np.interp
-    per atom and sweep, full-size temporaries."""
+    """The sweep loop as it was before the precomputed plan and the jump:
+    plain sweeps, one np.interp per atom and sweep, full-size temporaries.
+    ``start`` is "zero", "forcing" or an array of start values."""
     t_min, t_max = window
     n = int(round((t_max - t_min) / step)) + 1
     nodes = np.linspace(t_min, t_max, n)
     forcing = g.antiderivative(nodes)
     image_points = [l * nodes - m for l, m, _ in measure.atoms]
-    values = np.zeros(n) if start == "zero" else forcing.copy()
+    if isinstance(start, str):
+        values = np.zeros(n) if start == "zero" else forcing.copy()
+    else:
+        values = np.array(start, dtype=float)
     deltas = []
     converged = False
     for _ in range(max_iter):
@@ -187,29 +192,200 @@ _EXPANDING_ATOM = _manufactured([(1.5, 0.3, 0.2), (0.25, -1.0, 0.8)], rr.gaussia
 _NODE_HITS = _manufactured([(0.5, 0.25, 0.6), (0.75, -0.5, 0.4)], rr.triangle(0.0, 1.5))
 
 
+# The README's problem; its forcing is given, not manufactured.
+_README = (rr.build_measure([(0.5, 1.0, 1.0)]),
+           rr.gaussian(0, 1) - rr.gaussian(3, 1) - 0.5 * rr.gaussian(2, 2)
+           + 0.5 * rr.gaussian(8, 2))
+
+_ORACLE_CASES = pytest.mark.parametrize("problem, window, step, tol, max_iter", [
+    (_TWO_ATOMS, (-8.0, 8.0), 1e-2, 1e-10, 400),
+    (_THREE_ATOMS, (-8.0, 8.0), 1e-2, 1e-10, 400),
+    (_LEAVES_WINDOW, (-4.0, 4.0), 1e-2, 1e-10, 400),
+    (_EXPANDING_ATOM, (-6.0, 6.0), 1e-2, 1e-10, 400),
+    (_NODE_HITS, (-4.0, 4.0), 1.0 / 64, 1e-12, 400),
+    # n = 2 * _BLOCK + 77: two block edges and a short last block
+    (_THREE_ATOMS, (-10.0, 10.0), 20.0 / (2 * _BLOCK + 76), 0.0, 6),
+    # n == 2: one interval
+    (_TWO_ATOMS, (-1.0, 1.0), 2.0, 1e-12, 50),
+], ids=["two-atoms", "three-atoms", "leaves-window", "expanding-atom",
+        "node-hits", "several-blocks", "two-nodes"])
+
+_EPS = np.finfo(float).eps
+
+
+def _possible_jumps(measure, deltas):
+    """Sweeps where the jump may fire: the two delta ratios before them lie
+    in the window around E L.  The jumps are a subset, since they also need
+    plain iterates around those ratios and three sweeps since the last one."""
+    rho = rr.classify_regime(measure).mean_scale
+    width = min(0.05 * rho, 0.1 * (1.0 - rho))
+    # settled[k] holds the ratio deltas[k + 1] / deltas[k]
+    settled = [a > 0 and abs(b - rho * a) <= width * a for a, b in zip(deltas[:-1], deltas[1:])]
+    return [j for j in range(3, len(deltas)) if settled[j - 2] and settled[j - 3]], rho
+
+
+def _assert_near_oracle(measure, g, window, step, tol, max_iter, start):
+    """The run against the plain oracle, with the bound its jumps allow.
+
+    The interpolation part A of a sweep is a non-negative sub-stochastic
+    matrix, so ``|A e| <= |e|`` in the sup norm.  A jump at sweep j adds
+    ``c d_j`` (``c = rho / (1 - rho)``, ``|d_j| = deltas[j]``) to a plain
+    sweep, so after K sweeps the run is within ``c * sum deltas[j]`` over
+    its jumps of the oracle's K-th iterate.  That iterate is within the
+    oracle's own deltas between K and its sweep count of what it returns.
+    Rounding adds a few eps per sweep on each side.
+    """
+    res = rr.picard_iterate(measure, g, window, step, tol, max_iter, start=start)
+    values, deltas, converged = _picard_interp_oracle(
+        measure, g, window, step, tol, max_iter, start)
+    assert res.converged == converged
+    jumps, rho = _possible_jumps(measure, res.deltas)
+    k, k_oracle = res.iterations, len(deltas)
+    if k > k_oracle:
+        _, deltas, _ = _picard_interp_oracle(measure, g, window, step, 0.0, k, start)
+    nodes = res.cdf.nodes
+    scale = max(1.0, np.max(np.abs(values)), np.max(np.abs(g.antiderivative(nodes))))
+    bound = (rho / (1.0 - rho) * sum(res.deltas[j] for j in jumps)
+             + sum(deltas[min(k, k_oracle):max(k, k_oracle)])
+             + 16 * max(k, k_oracle) * _EPS * scale)
+    assert np.max(np.abs(res.cdf.values - values)) <= bound
+
+    # The returned values are a plain sweep T y of the last iterate y, so one
+    # more sweep moves them by |A (T y - y)| <= final_delta.
+    _, (residual,), _ = _picard_interp_oracle(
+        measure, g, window, step, 0.0, 1, res.cdf.values)
+    assert residual <= res.final_delta + 16 * _EPS * scale
+    return res, k_oracle
+
+
 class TestPicardMatchesInterpOracle:
     @pytest.mark.parametrize("start", ["zero", "forcing"])
-    @pytest.mark.parametrize("problem, window, step, tol, max_iter", [
-        (_TWO_ATOMS, (-8.0, 8.0), 1e-2, 1e-10, 400),
-        (_THREE_ATOMS, (-8.0, 8.0), 1e-2, 1e-10, 400),
-        (_LEAVES_WINDOW, (-4.0, 4.0), 1e-2, 1e-10, 400),
-        (_EXPANDING_ATOM, (-6.0, 6.0), 1e-2, 1e-10, 400),
-        (_NODE_HITS, (-4.0, 4.0), 1.0 / 64, 1e-12, 400),
-        # n = 2 * _BLOCK + 77: two block edges and a short last block
-        (_THREE_ATOMS, (-10.0, 10.0), 20.0 / (2 * _BLOCK + 76), 0.0, 6),
-        # n == 2: one interval
-        (_TWO_ATOMS, (-1.0, 1.0), 2.0, 1e-12, 50),
-    ], ids=["two-atoms", "three-atoms", "leaves-window", "expanding-atom",
-            "node-hits", "several-blocks", "two-nodes"])
+    @_ORACLE_CASES
     def test_bit_identical(self, problem, window, step, tol, max_iter, start):
+        # Three sweeps leave no room for a jump (it needs two settled ratios,
+        # so three deltas before it): every bit is np.interp's.
         measure, g = problem
-        res = rr.picard_iterate(measure, g, window, step, tol, max_iter, start=start)
+        short = min(max_iter, 3)
+        res = rr.picard_iterate(measure, g, window, step, tol, short, start=start)
         values, deltas, converged = _picard_interp_oracle(
-            measure, g, window, step, tol, max_iter, start)
+            measure, g, window, step, tol, short, start)
         assert np.array_equal(res.cdf.values, values)
         assert res.deltas == deltas
         assert res.iterations == len(deltas)
         assert res.converged == converged
+
+    @pytest.mark.parametrize("start", ["zero", "forcing"])
+    @_ORACLE_CASES
+    def test_full_run_within_jump_bound(self, problem, window, step, tol, max_iter, start):
+        measure, g = problem
+        _assert_near_oracle(measure, g, window, step, tol, max_iter, start)
+
+    @pytest.mark.parametrize("problem, window, step, expected", [
+        (_README, (-10.0, 10.0), 1e-3, [11]),
+        # stalls at its floor, after two jumps four sweeps apart
+        (_manufactured([(0.22, 0.27, 0.2), (0.97, 0.59, 0.8)],
+                       rr.gaussian(-0.53, 0.8) - 0.5 * rr.triangle(0.53, 1.0)),
+         (-8.0, 8.0), 0.05, [7, 11]),
+        # the ratio after each jump stays in the window: it must be skipped
+        (_manufactured([(0.16, 0.95, 0.25), (0.92, 0.34, 0.75)],
+                       rr.gaussian(0.29, 0.8) - 0.5 * rr.triangle(-0.29, 1.0)),
+         (-8.0, 8.0), 0.1, [9, 13]),
+    ], ids=["readme", "two-jumps", "ratio-after-jump-settled"])
+    def test_jumps_follow_the_rule(self, problem, window, step, expected):
+        # A run of j + 1 sweeps ends on a plain sweep, so it returns T x_j.
+        # One sweep more returns T x_{j+1}: one oracle sweep of that, unless
+        # sweep j jumped.  So the jumps can be seen from outside, and they must
+        # be the rule's: the sweeps whose two previous ratios lie in the window,
+        # at least four apart, none of them the last.
+        measure, g = problem
+        full = rr.picard_iterate(measure, g, window, step, 1e-9, max_iter=20)
+        seen = []
+        head = rr.picard_iterate(measure, g, window, step, 1e-9, max_iter=1)
+        for j in range(min(full.iterations, 20) - 1):
+            after = rr.picard_iterate(measure, g, window, step, 1e-9, max_iter=j + 2)
+            plain, _, _ = _picard_interp_oracle(measure, g, window, step, 0.0, 1,
+                                                head.cdf.values)
+            if not np.array_equal(plain, after.cdf.values):
+                seen.append(j)
+            head = after
+        rule = []
+        for j in _possible_jumps(measure, full.deltas)[0]:
+            if (not rule or j >= rule[-1] + 4) and j < 19:
+                rule.append(j)
+        assert seen == rule == expected
+
+    def test_jump_sweep_never_converges(self):
+        # A tol that the jump sweep's delta already meets: a plain sweep
+        # follows, and it is that sweep's delta that converges.
+        measure, g = _README
+        full = rr.picard_iterate(measure, g, (-10.0, 10.0), 1e-3, 1e-9)
+        (j, *_), _ = _possible_jumps(measure, full.deltas)
+        tol = 0.5 * (full.deltas[j - 1] + full.deltas[j])
+        assert min(full.deltas[:j]) > tol > full.deltas[j]
+        res = rr.picard_iterate(measure, g, (-10.0, 10.0), 1e-3, tol)
+        assert res.converged and res.iterations == j + 2
+        assert res.deltas == full.deltas[:j + 2]
+
+    def test_jump_cuts_sweeps(self):
+        # The README problem: 31 plain sweeps, 16 with the jump.
+        measure, g = _README
+        res, oracle_sweeps = _assert_near_oracle(
+            measure, g, (-10.0, 10.0), 1e-3, 1e-9, 500, "zero")
+        assert res.converged
+        assert (res.iterations, oracle_sweeps) == (16, 31)
+
+    def test_stall_never_jumps(self):
+        # The benchmark's stall probe: the constant drifts by step**2 / 16 per
+        # sweep, so the delta ratio tends to 1 and the run ends at max_iter.
+        measure = rr.build_measure([(0.5, 0.0, 0.5), (0.5, -0.5, 0.5)])
+        g = rr.manufacture_inhomogeneity(measure, rr.triangle(0.0, 1.0))
+        window, step, tol = (-10.0, 10.0), 1e-3, 1e-9
+        res = rr.picard_iterate(measure, g, window, step, tol)
+        assert res.iterations == 500 and not res.converged
+        assert res.final_delta == pytest.approx(step**2 / 16, rel=1e-6)
+        assert res.deltas[-1] / res.deltas[-2] == pytest.approx(1.0, abs=1e-9)
+        # No jump after the ratio leaves the window: the run that stops just
+        # past the last possible jump, continued by plain oracle sweeps,
+        # gives every later bit.
+        jumps, _ = _possible_jumps(measure, res.deltas)
+        assert jumps and jumps[-1] < 100
+        k = jumps[-1] + 2
+        head = rr.picard_iterate(measure, g, window, step, tol, max_iter=k)
+        values, deltas, converged = _picard_interp_oracle(
+            measure, g, window, step, tol, 500 - k, head.cdf.values)
+        assert not converged
+        assert deltas == res.deltas[k:]
+        assert np.array_equal(values, res.cdf.values)
+
+    def test_near_critical_mean_scale_does_not_diverge(self):
+        # E L = 0.993.  A window of 5% of E L lets a mode of ratio 0.96
+        # settle, and a jump sized for E L scales it by
+        # (0.96 - E L) / (1 - E L) = -5, so the run grows to 1e72.  A half
+        # width of 0.1 (1 - E L) shrinks every mode it lets through.
+        measure, g = _manufactured([(1.34, -0.38, 2 / 3), (0.3, 1.47, 1 / 3)],
+                                   rr.gaussian(-0.5, 0.8) - 0.5 * rr.triangle(0.5, 1.0))
+        res, _ = _assert_near_oracle(measure, g, (-8.0, 8.0), 0.05, 1e-9, 2000, "forcing")
+        assert res.converged
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(st.floats(0.1, 1.6), st.floats(-2.0, 2.0), st.integers(1, 4)),
+            min_size=1, max_size=3,
+        ),
+        mu=st.floats(-1.5, 1.5),
+        step=st.sampled_from([1.0 / 8, 0.1, 1.0 / 16, 0.05]),
+        start=st.sampled_from(["zero", "forcing"]),
+    )
+    def test_generated_measures_within_jump_bound(self, atoms, mu, step, start):
+        # Positive, mean-contractive measures on coarse grids.  600 sweeps let
+        # the oracle converge or stall at E L <= 0.9, so the flags compare.
+        total = sum(w for _, _, w in atoms)
+        measure = rr.build_measure([(l, m, w / total) for l, m, w in atoms])
+        assume(rr.classify_regime(measure).mean_scale <= 0.9)
+        g = rr.manufacture_inhomogeneity(
+            measure, rr.gaussian(mu, 0.8) - 0.5 * rr.triangle(-mu, 1.0))
+        _assert_near_oracle(measure, g, (-8.0, 8.0), step, 1e-9, 600, start)
 
     def test_cases_reach_the_edges_they_name(self):
         def plan(window, step, l, m):
@@ -225,6 +401,55 @@ class TestPicardMatchesInterpOracle:
         assert 0 < a < b < n
         _, (_, _, _, off) = plan((-4.0, 4.0), 1.0 / 64, 0.5, 0.25)
         assert np.count_nonzero(off == 0.0) > 200
+
+
+def _searchsorted_plan(nodes, l, m):
+    """The plan by binary search, as it was before the arithmetic index."""
+    pts = l * nodes - m
+    j = np.searchsorted(nodes, pts, side="right") - 1
+    a = int(np.searchsorted(j, 0))
+    b = int(np.searchsorted(j, len(nodes) - 1))
+    j = j[a:b]
+    return a, b, j.astype(np.int32), pts[a:b] - nodes[j]
+
+
+def _assert_same_plan(nodes, l, m):
+    a, b, j, off = _interp_plan(nodes, l, m)
+    a0, b0, j0, off0 = _searchsorted_plan(nodes, l, m)
+    assert (a, b) == (a0, b0)
+    assert j.dtype == j0.dtype and np.array_equal(j, j0)
+    assert off.tobytes() == off0.tobytes()
+
+
+class TestInterpPlanMatchesSearchsorted:
+    @pytest.mark.parametrize("window, n, l, m", [
+        ((-10.0, 10.0), 2 * _BLOCK + 77, 0.75, 0.5),
+        ((-4.0, 4.0), 513, 0.5, 0.25),           # binary fractions: node hits
+        ((-4.0, 4.0), 801, 0.5, 2.5),            # falls off the left
+        ((-6.0, 6.0), 1201, 1.5, 0.3),           # falls off both sides
+        ((-1.0, 1.0), 2, 0.6, 0.1),              # one interval
+        ((1e4, 1e4 + 1e-6), 1001, 1.0, 3e-7),    # spacing 1e-9 next to 1e4
+        ((1e15, 1e15 + 1.0), 1001, 1.0, -0.4),   # spacing below the rounding
+        ((1e8, 1e8 + 1e-4), 20001, 1.0, 2e-5),   # of the nodes: binary search
+    ], ids=["several-blocks", "node-hits", "left-edge", "both-edges", "two-nodes",
+            "fine-offset", "collapsed-nodes", "near-collapsed-nodes"])
+    def test_fixed_grids(self, window, n, l, m):
+        _assert_same_plan(np.linspace(*window, n), l, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t0=st.floats(-1e3, 1e3),
+        width_exp=st.floats(-3.0, 3.0),
+        n=st.integers(2, 3000),
+        l=st.floats(0.05, 2.0),
+        m_frac=st.floats(-1.0, 1.0),
+    )
+    def test_random_linspace_grids(self, t0, width_exp, n, l, m_frac):
+        width = 10.0 ** width_exp
+        nodes = np.linspace(t0, t0 + width, n)
+        # a shift that sends some image points into the window
+        m = l * t0 - t0 + m_frac * width
+        _assert_same_plan(nodes, l, m)
 
 
 class TestPicardRejectsBadGrid:
@@ -250,6 +475,14 @@ class TestPicardRejectsBadGrid:
         measure, _, g = contractive_pair
         with pytest.raises(ValueError, match="max_iter"):
             rr.picard_iterate(measure, g, (-10, 10), 1e-2, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf, -math.inf],
+                             ids=["nan", "negative", "infinite", "minus-infinite"])
+    def test_bad_tol(self, contractive_pair, tol):
+        # NaN or a negative tol ran all 500 sweeps; +inf "converged" in one.
+        measure, _, g = contractive_pair
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            rr.picard_iterate(measure, g, (-10, 10), 1e-2, tol=tol)
 
 
 class TestGridBudget:
