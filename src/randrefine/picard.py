@@ -21,14 +21,18 @@ The image points ``l_i * t - m_i`` of the grid never change, so
 ``picard_iterate`` locates them once per atom, by arithmetic on the
 uniform grid, and every sweep is a gather over that plan, computed block
 by block with ``np.interp``'s own formula so the values match it bit for
-bit.
+bit.  The sweeps run on the calling thread: a thread pool over the
+blocks ran faster on two idle CPUs but, on CPUs shared with other work,
+its speed followed their load from one run to the next.
 
-The linear part ``A v(t) = sum_i p_i v(l_i t - m_i)`` maps affine
-functions to affine functions, with eigenvalues 1 (constants) and
-``rho = E L``.  The affine mode is the slowest that the sweeps remove, so
-once two successive delta ratios settle on ``rho``, one sweep jumps to
-``T x + c (T x - x)`` with ``c = rho / (1 - rho)``: the sum of that mode's
-remaining geometric series.  A jump costs two in-cache operations per
+The linear part ``A v(t) = sum_i p_i v(l_i t - m_i)`` maps polynomials
+of degree k to themselves, with eigenvalues 1 (constants) and
+``rho_k = E L^k``, all known before the first sweep.  Once two successive
+delta ratios settle on one ``rho_k``, one sweep jumps to
+``T x + c_k (T x - x)`` with ``c_k = rho_k / (1 - rho_k)``: the sum of
+that mode's remaining geometric series.  The affine mode goes first, and
+the quadratic and cubic ones usually settle after it; a mode is used only
+while ``rho_k`` falls with k.  A jump costs two in-cache operations per
 block.  ``deltas`` stay the plain residuals ``max|T x - x|``, a jump never
 ends a run, and so the values returned are always a plain sweep.
 """
@@ -59,6 +63,8 @@ class PicardResult:
     final_delta: float
     converged: bool
     deltas: tuple[float, ...]
+    # (sweep, k): the 0-based sweep that jumped, on the mode of ratio E L^k
+    jumps: tuple[tuple[int, int], ...] = ()
 
 
 def default_window(measure: RandomAffineMeasure, g: ClosedFormFn) -> tuple[float, float]:
@@ -135,15 +141,10 @@ def picard_iterate(
     term, gathered = np.empty(_BLOCK), np.empty(_BLOCK)
     blocks = range(0, n, _BLOCK)
     block_max = np.empty(len(blocks))
-    # The jump (see the module docstring) scales a mode of ratio r by
-    # (r - rho) / (1 - rho), so a half width of at most 0.1 (1 - rho)
-    # shrinks whatever mode settled in the window, and keeps a stall, whose
-    # ratio tends to 1, out of it.
-    rho = report.mean_scale
-    c = rho / (1.0 - rho)
-    width = min(0.05 * rho, 0.1 * (1.0 - rho))
-    settled, prev = 0, 0.0
+    modes = _modes(measure)
+    settled, mode, prev = 0, 0, 0.0
     deltas: list[float] = []
+    jumps: list[tuple[int, int]] = []
     converged = False
     for it in range(max_iter):
         # Never on the last sweep, so the values returned are a plain T x.
@@ -174,12 +175,14 @@ def picard_iterate(
             d = term[:e - s]
             np.subtract(out, values[s:e], out=d)
             if jump:
-                out += np.multiply(d, c, out=gathered[:e - s])
+                out += np.multiply(d, modes[mode][2], out=gathered[:e - s])
             block_max[k] = np.max(np.abs(d, out=d))
         values, new = new, values
         # np.max, not the built-in max, so a NaN delta propagates.
         delta = float(np.max(block_max))
         deltas.append(delta)
+        if jump:
+            jumps.append((it, mode + 1))
         # A jumped iterate is never returned: a plain sweep follows it.
         if delta < tol and not jump:
             converged = True
@@ -187,15 +190,51 @@ def picard_iterate(
         # A ratio counts only between plain iterates: after a jump the streak
         # restarts below 0, so the ratio that reads the jumped iterate is
         # skipped and three plain sweeps separate two jumps.
+        k = _settled_mode(modes, prev, delta)
         if jump:
             settled = -1
-        elif prev > 0 and abs(delta - rho * prev) <= width * prev:
+        elif k is None or settled < 0:
+            settled = 0
+        elif settled and k == mode:
             settled += 1
         else:
-            settled = 0
+            settled, mode = 1, k
         prev = delta
     cdf = GridFn(t_min, t_max, step, values, 0.0, float(values[-1]))
-    return PicardResult(cdf, len(deltas), deltas[-1], converged, tuple(deltas))
+    return PicardResult(cdf, len(deltas), deltas[-1], converged, tuple(deltas),
+                        tuple(jumps))
+
+
+def _modes(measure: RandomAffineMeasure) -> list[tuple[float, float, float]]:
+    """``(rho_k, half width, c_k)`` of the polynomial modes ``k = 1, 2, 3``.
+
+    ``rho_k = E L^k``.  A jump scales a mode of ratio r by
+    ``(r - rho_k) / (1 - rho_k)``, so a half width of at most
+    ``0.1 (1 - rho_k)`` shrinks whatever mode settled in the window, and
+    keeps a stall, whose ratio tends to 1, out of it.  The list stops at
+    the first ``rho_k`` that does not fall below ``rho_{k-1}``
+    (``rho_0 = 1``): a scale above 1 weighs more in each higher power, and
+    a window around a ``rho_k`` that grows with k would admit ratios of no
+    decaying mode (a measure with ``E L = 0.993`` has ``E L^2 = 1.23``).
+    """
+    modes = []
+    prev = 1.0
+    for k in (1, 2, 3):
+        rho = float(np.dot(measure.weights, measure.scales ** k))
+        if not rho < prev:
+            break
+        modes.append((rho, min(0.05 * rho, 0.1 * (1.0 - rho)), rho / (1.0 - rho)))
+        prev = rho
+    return modes
+
+
+def _settled_mode(modes, prev: float, delta: float) -> int | None:
+    """The first mode whose window holds the ratio ``delta / prev``."""
+    if prev > 0:
+        for k, (rho, width, _) in enumerate(modes):
+            if abs(delta - rho * prev) <= width * prev:
+                return k
+    return None
 
 
 def _interp_plan(nodes: np.ndarray, l: float, m: float):
@@ -267,6 +306,10 @@ def cdf_equation_residual(
 ) -> float:
     """Max over probes of |F(x) - sum_i p_i F(l_i x - m_i) - G(x)|."""
     xs = np.atleast_1d(np.asarray(probe_points, dtype=float))
+    if xs.size == 0:
+        raise ValueError("probe_points must not be empty")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("probe_points must be finite")
     acc = cdf(xs) - g.antiderivative(xs)
     for l, m, p in measure.atoms:
         acc = acc - p * cdf(l * xs - m)
@@ -300,6 +343,10 @@ def integrability_diagnostic(
     """
     if len(window_schedule) < 3:
         raise ValueError("need at least three windows to see a trend")
+    if not (math.isfinite(shrink_factor) and shrink_factor > 0):
+        raise ValueError(f"shrink_factor must be finite and positive, got {shrink_factor!r}")
+    if not (math.isfinite(floor) and floor >= 0):
+        raise ValueError(f"floor must be finite and non-negative, got {floor!r}")
     trend: list[float] = []
     for lo, hi in window_schedule:
         sub = GridFn.from_function(cdf, lo, hi, cdf.step,

@@ -213,15 +213,36 @@ _ORACLE_CASES = pytest.mark.parametrize("problem, window, step, tol, max_iter", 
 _EPS = np.finfo(float).eps
 
 
+def _window_modes(measure):
+    """(rho_k, half width) of the modes the jump may use: rho_k = E L^k for
+    k = 1, 2, 3, while rho_k falls below rho_{k-1} (rho_0 = 1)."""
+    modes, prev = [], 1.0
+    for k in (1, 2, 3):
+        rho = float(np.dot(measure.weights, measure.scales ** k))
+        if not rho < prev:
+            break
+        modes.append((rho, min(0.05 * rho, 0.1 * (1.0 - rho))))
+        prev = rho
+    return modes
+
+
 def _possible_jumps(measure, deltas):
-    """Sweeps where the jump may fire: the two delta ratios before them lie
-    in the window around E L.  The jumps are a subset, since they also need
-    plain iterates around those ratios and three sweeps since the last one."""
-    rho = rr.classify_regime(measure).mean_scale
-    width = min(0.05 * rho, 0.1 * (1.0 - rho))
-    # settled[k] holds the ratio deltas[k + 1] / deltas[k]
-    settled = [a > 0 and abs(b - rho * a) <= width * a for a, b in zip(deltas[:-1], deltas[1:])]
-    return [j for j in range(3, len(deltas)) if settled[j - 2] and settled[j - 3]], rho
+    """(sweep, k) where the jump may fire, on the mode of ratio E L^k: the two
+    delta ratios before the sweep lie in the window of mode k, the first
+    mode whose window holds each.  The jumps are a subset, since they also
+    need plain iterates around those ratios and three sweeps since the last
+    one.  Returned with E L, whose c = E L / (1 - E L) is the largest of
+    the modes'."""
+    modes = _window_modes(measure)
+
+    def mode(a, b):
+        return next((k for k, (rho, width) in enumerate(modes)
+                     if a > 0 and abs(b - rho * a) <= width * a), None)
+
+    # settled[k] is the mode of the ratio deltas[k + 1] / deltas[k]
+    settled = [mode(a, b) for a, b in zip(deltas[:-1], deltas[1:])]
+    return [(j, settled[j - 2] + 1) for j in range(3, len(deltas))
+            if settled[j - 2] is not None and settled[j - 2] == settled[j - 3]], modes[0][0]
 
 
 def _assert_near_oracle(measure, g, window, step, tol, max_iter, start):
@@ -245,7 +266,7 @@ def _assert_near_oracle(measure, g, window, step, tol, max_iter, start):
         _, deltas, _ = _picard_interp_oracle(measure, g, window, step, 0.0, k, start)
     nodes = res.cdf.nodes
     scale = max(1.0, np.max(np.abs(values)), np.max(np.abs(g.antiderivative(nodes))))
-    bound = (rho / (1.0 - rho) * sum(res.deltas[j] for j in jumps)
+    bound = (rho / (1.0 - rho) * sum(res.deltas[j] for j, _ in jumps)
              + sum(deltas[min(k, k_oracle):max(k, k_oracle)])
              + 16 * max(k, k_oracle) * _EPS * scale)
     assert np.max(np.abs(res.cdf.values - values)) <= bound
@@ -281,45 +302,77 @@ class TestPicardMatchesInterpOracle:
         _assert_near_oracle(measure, g, window, step, tol, max_iter, start)
 
     @pytest.mark.parametrize("problem, window, step, expected", [
-        (_README, (-10.0, 10.0), 1e-3, [11]),
+        (_README, (-10.0, 10.0), 1e-3, [(11, 1)]),
         # stalls at its floor, after two jumps four sweeps apart
         (_manufactured([(0.22, 0.27, 0.2), (0.97, 0.59, 0.8)],
                        rr.gaussian(-0.53, 0.8) - 0.5 * rr.triangle(0.53, 1.0)),
-         (-8.0, 8.0), 0.05, [7, 11]),
+         (-8.0, 8.0), 0.05, [(7, 1), (11, 1)]),
         # the ratio after each jump stays in the window: it must be skipped
         (_manufactured([(0.16, 0.95, 0.25), (0.92, 0.34, 0.75)],
                        rr.gaussian(0.29, 0.8) - 0.5 * rr.triangle(-0.29, 1.0)),
-         (-8.0, 8.0), 0.1, [9, 13]),
-    ], ids=["readme", "two-jumps", "ratio-after-jump-settled"])
+         (-8.0, 8.0), 0.1, [(9, 1), (13, 1)]),
+        # after the E L jump the ratio settles on E L^2 = 0.406
+        (_TWO_ATOMS, (-8.0, 8.0), 1e-2, [(8, 1), (13, 2)]),
+        # E L = 0.65 and E L^2 = 0.625: ratios in both windows count for E L
+        (_manufactured([(1.1, 0.5, 0.5), (0.2, -0.5, 0.5)], rr.gaussian(0.5, 1.0)),
+         (-8.0, 8.0), 1e-2, [(8, 1)]),
+    ], ids=["readme", "two-jumps", "ratio-after-jump-settled", "second-mode",
+            "overlapping-windows"])
     def test_jumps_follow_the_rule(self, problem, window, step, expected):
         # A run of j + 1 sweeps ends on a plain sweep, so it returns T x_j.
         # One sweep more returns T x_{j+1}: one oracle sweep of that, unless
-        # sweep j jumped.  So the jumps can be seen from outside, and they must
-        # be the rule's: the sweeps whose two previous ratios lie in the window,
-        # at least four apart, none of them the last.
+        # sweep j jumped to T x_j + c_k (T x_j - x_j), with x_j what a run of
+        # j sweeps returns.  So the jumps and their modes can be seen from
+        # outside, and they must be the rule's: the sweeps whose two previous
+        # ratios lie in one mode's window, at least four apart, none of them
+        # the last.  ``jumps`` reports them.
         measure, g = problem
+
+        def sweep(values):
+            return _picard_interp_oracle(measure, g, window, step, 0.0, 1, values)[0]
+
+        cs = [rho / (1.0 - rho) for rho, _ in _window_modes(measure)]
         full = rr.picard_iterate(measure, g, window, step, 1e-9, max_iter=20)
         seen = []
-        head = rr.picard_iterate(measure, g, window, step, 1e-9, max_iter=1)
+        prev = np.zeros_like(full.cdf.values)  # x_0: the "zero" start
+        head = rr.picard_iterate(measure, g, window, step, 1e-9, max_iter=1).cdf.values
         for j in range(min(full.iterations, 20) - 1):
-            after = rr.picard_iterate(measure, g, window, step, 1e-9, max_iter=j + 2)
-            plain, _, _ = _picard_interp_oracle(measure, g, window, step, 0.0, 1,
-                                                head.cdf.values)
-            if not np.array_equal(plain, after.cdf.values):
-                seen.append(j)
-            head = after
+            after = rr.picard_iterate(measure, g, window, step, 1e-9,
+                                      max_iter=j + 2).cdf.values
+            if not np.array_equal(sweep(head), after):
+                d = head - prev
+                seen.append((j, *[k for k, c in enumerate(cs, 1)
+                                  if np.array_equal(sweep(head + d * c), after)]))
+            prev, head = head, after
         rule = []
-        for j in _possible_jumps(measure, full.deltas)[0]:
-            if (not rule or j >= rule[-1] + 4) and j < 19:
-                rule.append(j)
+        for j, k in _possible_jumps(measure, full.deltas)[0]:
+            if (not rule or j >= rule[-1][0] + 4) and j < 19:
+                rule.append((j, k))
         assert seen == rule == expected
+        assert full.jumps == tuple(expected)
+
+    def test_scale_above_one_leaves_second_mode_out(self):
+        # E L = 0.325 but E L^2 = 0.366: the quadratic mode grows against
+        # the affine one, and no mode past it is used.  Two successive ratios
+        # (sweeps 6 and 7) lie in the window an E L^2 mode would have, and no
+        # E L window: a rule that kept the mode would jump at sweep 8.
+        atoms = [(1.54, -0.62, 0.15), (0.11, 0.72, 0.85)]
+        measure, g = _manufactured(atoms, rr.gaussian(0.3, 0.8) - 0.5 * rr.triangle(-0.3, 1.0))
+        (rho, width), = _window_modes(measure)
+        rho2 = sum(p * l**2 for l, _, p in atoms)
+        assert rho < rho2 < 1.0
+        width2 = min(0.05 * rho2, 0.1 * (1.0 - rho2))
+        res, _ = _assert_near_oracle(measure, g, (-8.0, 8.0), 0.05, 1e-9, 60, "zero")
+        r = [b / a for a, b in zip(res.deltas[:-1], res.deltas[1:])]
+        assert all(abs(q - rho2) <= width2 and abs(q - rho) > width for q in r[5:7])
+        assert all(k == 1 for _, k in res.jumps)
 
     def test_jump_sweep_never_converges(self):
         # A tol that the jump sweep's delta already meets: a plain sweep
         # follows, and it is that sweep's delta that converges.
         measure, g = _README
         full = rr.picard_iterate(measure, g, (-10.0, 10.0), 1e-3, 1e-9)
-        (j, *_), _ = _possible_jumps(measure, full.deltas)
+        ((j, _), *_), _ = _possible_jumps(measure, full.deltas)
         tol = 0.5 * (full.deltas[j - 1] + full.deltas[j])
         assert min(full.deltas[:j]) > tol > full.deltas[j]
         res = rr.picard_iterate(measure, g, (-10.0, 10.0), 1e-3, tol)
@@ -348,8 +401,8 @@ class TestPicardMatchesInterpOracle:
         # past the last possible jump, continued by plain oracle sweeps,
         # gives every later bit.
         jumps, _ = _possible_jumps(measure, res.deltas)
-        assert jumps and jumps[-1] < 100
-        k = jumps[-1] + 2
+        assert jumps and jumps[-1][0] < 100
+        k = jumps[-1][0] + 2
         head = rr.picard_iterate(measure, g, window, step, tol, max_iter=k)
         values, deltas, converged = _picard_interp_oracle(
             measure, g, window, step, tol, 500 - k, head.cdf.values)
@@ -510,6 +563,18 @@ class TestCdfEquationResidual:
         expected = float(np.max(np.abs(g.antiderivative(probes))))
         assert rr.cdf_equation_residual(m, zero, g, probes) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("probes, match", [
+        ([], "must not be empty"),
+        ([0.0, math.nan], "must be finite"),
+        ([math.inf, 1.0], "must be finite"),
+    ], ids=["empty", "nan", "infinite"])
+    def test_bad_probes_refused(self, contractive_pair, probes, match):
+        # empty probes raised numpy's zero-size error; a NaN returned nan
+        measure, f, g = contractive_pair
+        cdf = rr.GridFn.from_function(f.antiderivative, -10.0, 10.0, 1e-2)
+        with pytest.raises(ValueError, match=f"probe_points {match}"):
+            rr.cdf_equation_residual(measure, cdf, g, probes)
+
     def test_running_integral_of_solution_is_near_fixed(self, contractive_pair):
         measure, f, g = contractive_pair
         cdf = rr.GridFn.from_function(f.antiderivative, -10.0, 10.0, 1e-3,
@@ -543,6 +608,18 @@ class TestIntegrabilityDiagnostic:
         flag, trend = rr.integrability_diagnostic(cdf, self.windows)
         assert flag
         assert np.allclose(trend, 0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("shrink_factor", 0.0), ("shrink_factor", -2.0), ("shrink_factor", math.nan),
+        ("shrink_factor", math.inf), ("floor", -1e-12), ("floor", math.nan),
+        ("floor", math.inf),
+    ])
+    def test_bad_parameters_refused(self, name, value):
+        # a zero shrink_factor divided by zero and judged integrable; NaN
+        # judged everything integrable
+        cdf = rr.GridFn(-64.0, 10.0, 1e-2, np.full(7401, 2.5), 2.5, 2.5)
+        with pytest.raises(ValueError, match=name):
+            rr.integrability_diagnostic(cdf, self.windows, **{name: value})
 
     def test_needs_three_windows(self):
         cdf = rr.GridFn(-4.0, 4.0, 0.1, np.zeros(81))
