@@ -10,8 +10,11 @@ affine substitution ``t -> l*t - m``:
 A :class:`ClosedFormFn` is a finite linear combination of primitives, so
 pointwise values, the transform ``fhat(x) = int exp(i t x) f(t) dt`` (no
 normalization factor; the inverse in the spectrum module carries 1/(2 pi)),
-the running integral ``int_{-inf}^x f`` and the L1 bound are all available
-in closed form, without quadrature error.
+the running integral ``int_{-inf}^x f``, the L1 bound and the moments
+``int (t - c)^k f`` with bounds on the absolute ones are all available in
+closed form, without quadrature error.  Each primitive is symmetric about
+its centre, so its moments expand binomially from its absolute central
+moments with no cancelling terms.
 
 The half-open indicator convention makes halving identities such as
 ``chi_[0,1) == chi_[0,1/2) + chi_[1/2,1)`` hold pointwise everywhere, not
@@ -22,6 +25,7 @@ points.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -79,6 +83,27 @@ def _erf(x):
     return out[()]
 
 
+@functools.lru_cache(maxsize=None)
+def _binomials(order: int) -> np.ndarray:
+    """``C(k, j)`` for j, k < order (0 for j > k)."""
+    return np.array([[math.comb(k, j) for j in range(order)] for k in range(order)], dtype=float)
+
+
+def _expand(d: float, nu: np.ndarray, signed: bool) -> np.ndarray:
+    """``sum_j C(k, j) d^(k-j) nu_j`` for k < len(nu): the k-th moment
+    about 0 of a shape symmetric about ``d`` with absolute central moments
+    ``nu_j``.  Signed, its odd central moments vanish and every kept term has
+    the sign of ``d^k``, so nothing cancels; with ``|d|`` in place of ``d`` it
+    is ``int (|d| + |v|)^k``, an upper bound of the absolute moment."""
+    order = len(nu)
+    lag = np.subtract.outer(np.arange(order), np.arange(order))
+    powers = np.vander([d if signed else abs(d)], order, increasing=True)[0]
+    table = _binomials(order) * np.where(lag >= 0, powers[np.maximum(lag, 0)], 0.0)
+    if signed:
+        nu = np.where(np.arange(order) % 2 == 0, nu, 0.0)
+    return table @ nu
+
+
 def _require_finite(prim) -> None:
     if not all(math.isfinite(v) for v in prim.params()):
         raise ValueError(f"{prim.kind} parameters must be finite, got {prim.params()}")
@@ -119,6 +144,14 @@ class Indicator:
 
     def jumps(self) -> tuple[float, ...]:
         return (self.a, self.b)
+
+    def centre(self) -> float:
+        return 0.5 * (self.a + self.b)
+
+    def abs_central_moments(self, order: int) -> np.ndarray:
+        h = 0.5 * (self.b - self.a)
+        j = np.arange(order)
+        return 2.0 * h ** (j + 1) / (j + 1)
 
     def affine_image(self, l: float, m: float) -> tuple[float, "Indicator"]:
         lo, hi = sorted(((self.a + m) / l, (self.b + m) / l))
@@ -167,6 +200,13 @@ class Triangle:
     def jumps(self) -> tuple[float, ...]:
         return ()
 
+    def centre(self) -> float:
+        return self.center
+
+    def abs_central_moments(self, order: int) -> np.ndarray:
+        j = np.arange(order)
+        return 2.0 * self.halfwidth ** (j + 1) / ((j + 1) * (j + 2))
+
     def affine_image(self, l: float, m: float) -> tuple[float, "Triangle"]:
         return abs(l), Triangle((self.center + m) / l, self.halfwidth / abs(l))
 
@@ -210,6 +250,15 @@ class Gaussian:
 
     def jumps(self) -> tuple[float, ...]:
         return ()
+
+    def centre(self) -> float:
+        return self.mean
+
+    def abs_central_moments(self, order: int) -> np.ndarray:
+        # E|Z|^j = 2^(j/2) Gamma((j+1)/2) / sqrt(pi) for a standard normal Z
+        gamma = np.array([math.gamma(0.5 * (j + 1)) for j in range(order)])
+        scale = math.sqrt(2.0) * self.stddev
+        return self.mass() * scale ** np.arange(order) * gamma / math.sqrt(math.pi)
 
     def affine_image(self, l: float, m: float) -> tuple[float, "Gaussian"]:
         return abs(l), Gaussian((self.mean + m) / l, self.stddev / abs(l))
@@ -261,6 +310,35 @@ class ClosedFormFn:
 
     def l1_upper_bound(self) -> float:
         return math.fsum(abs(c) * prim.mass() for c, prim in self.terms)
+
+    # -- moments --------------------------------------------------------------
+
+    def centre(self) -> float:
+        """The terms' centres averaged with weights ``|c| * mass``; 0 when empty."""
+        weights = [abs(c) * prim.mass() for c, prim in self.terms]
+        total = math.fsum(weights)
+        if total == 0.0:
+            return 0.0
+        return math.fsum(w * prim.centre() for w, (_, prim) in zip(weights, self.terms)) / total
+
+    def moments(self, order: int, c: float = 0.0) -> np.ndarray:
+        """``m_k = int (t - c)^k f(t) dt`` for k < order, in closed form, so
+        ``fhat(y) = exp(i y c) sum_k (i y)^k m_k / k!``."""
+        return self._moment_sum(order, c, signed=True)
+
+    def abs_moment_bounds(self, order: int, c: float = 0.0) -> np.ndarray:
+        """``M_k >= int |t - c|^k |f(t)| dt`` for k < order.  The Taylor
+        remainder of ``exp(-i y c) fhat(y)`` after K terms is at most
+        ``M_K |y|^K / K!``; ``M_0`` is :meth:`l1_upper_bound`."""
+        return self._moment_sum(order, c, signed=False)
+
+    def _moment_sum(self, order: int, c: float, signed: bool) -> np.ndarray:
+        out = np.zeros(order)
+        with np.errstate(over="ignore", invalid="ignore"):  # absurd parameters give inf or nan
+            for coef, prim in self.terms:
+                nu = prim.abs_central_moments(order)
+                out += (coef if signed else abs(coef)) * _expand(prim.centre() - c, nu, signed)
+        return out
 
     def support(self) -> tuple[float, float]:
         """Hull of the terms' effective supports (Gaussians padded)."""

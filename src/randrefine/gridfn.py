@@ -41,6 +41,17 @@ def half_grid(xs: np.ndarray):
     return half, lambda v: np.where(xs < 0, v[inverse].conj(), v[inverse])
 
 
+def affine_step(xs: np.ndarray) -> float | None:
+    """``dx`` when the ascending ``xs`` are ``xs[0] + k dx`` within 4 ulps of
+    the largest, else None; two points are always affine (their drift is at
+    most 1 ulp), and fewer have no step."""
+    if len(xs) < 2:
+        return None
+    dx = (xs[-1] - xs[0]) / (len(xs) - 1)
+    drift = np.abs(xs - (xs[0] + np.arange(len(xs)) * dx))
+    return dx if np.all(drift <= 4 * np.spacing(xs[-1])) else None
+
+
 @dataclass(frozen=True)
 class GridFn:
     """Samples on the uniform grid ``t_min, t_min+step, ..., t_max``.
@@ -74,11 +85,34 @@ class GridFn:
         return np.linspace(self.t_min, self.t_max, len(self.values))
 
     def __call__(self, t):
+        """``np.interp`` on :attr:`nodes`, byte for byte.
+
+        ``np.interp`` reads only the nodes around each probe and the ends,
+        so for fewer than n/32 finite probes only those are built, as
+        linspace builds them: ``k * step + t_min``, and ``t_max`` last.  An
+        index estimate is off by less than one node when
+        ``8 eps (max(|t_min|, |t_max|) / step + n) < 1``, so the nodes from
+        one before to two after it hold the probe's bracket."""
         t = np.asarray(t, dtype=float)
-        out = np.interp(
-            t, self.nodes, self.values,
-            left=self.left_value, right=self.right_value,
-        )
+        n = len(self.values)
+        span = self.t_max - self.t_min
+        reach = max(abs(self.t_min), abs(self.t_max)) * (n - 1) / span + n
+        few = 32 * t.size < n and 8 * np.finfo(float).eps * reach < 1
+        if few and np.all(np.isfinite(t)):
+            with np.errstate(over="ignore"):  # a probe far outside clips to an end
+                est = (t.ravel() - self.t_min) / span * (n - 1)
+            j = np.clip(est, 0, n - 1).astype(np.intp)
+            near = np.zeros(n, dtype=bool)
+            near[[0, -1]] = True
+            for d in (-1, 0, 1, 2):
+                near[np.clip(j + d, 0, n - 1)] = True
+            keep = np.flatnonzero(near)
+            nodes = keep * (span / (n - 1)) + self.t_min
+            nodes[-1] = self.t_max
+            values = self.values[keep]
+        else:  # also at NaN, where np.interp's answer depends on where its search ends
+            nodes, values = self.nodes, self.values
+        out = np.interp(t, nodes, values, left=self.left_value, right=self.right_value)
         return out if out.shape else float(out)
 
     @classmethod

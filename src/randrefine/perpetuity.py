@@ -29,7 +29,7 @@ import numpy as np
 
 from .closedform import ClosedFormFn
 from .errors import EnumerationTooLarge, RegimeMismatch, WindowTooSmall
-from .gridfn import half_grid
+from .gridfn import affine_step, half_grid
 from .measure import RandomAffineMeasure, Regime, classify_regime
 
 #: Most walk states times atoms, or scale groups times frequencies, per exact depth.
@@ -292,12 +292,8 @@ def estimate_charfn(
     half, mirror = half_grid(xs)
     values = np.empty(len(half), dtype=complex)
     stderr = np.empty(len(half))
-    step = None
-    if len(half) > 1:  # two points are always affine: their drift is at most 1 ulp
-        dx = (half[-1] - half[0]) / (len(half) - 1)
-        drift = np.abs(half - (half[0] + np.arange(len(half)) * dx))
-        if np.all(drift <= 4 * np.spacing(half[-1])):
-            step = np.exp(1j * (dx * z))
+    dx = affine_step(half)
+    step = None if dx is None else np.exp(1j * (dx * z))
     for k, x in enumerate(half):
         if k and step is not None:
             row *= step

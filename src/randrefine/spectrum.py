@@ -29,12 +29,23 @@ the next phase increment depends on a path only through its scale product;
 one scale makes one group.  Monte Carlo sampling mirrors it for
 cross-validation.  Every route yields T_n depth by depth to one summation
 loop, on |x| only: for real g, T_n[g](-x) = conj(T_n[g](x)).
+
+Past the first depths of an expansive Monte Carlo series, ``ghat`` is read
+only at small arguments ``|x / P_n| <= y0``, where its Taylor series about
+the centre c of g converges fast: ``ghat(y) = exp(i y c) sum_{k<K} a_k y^k``
+with ``a_k = i^k m_k / k!`` from the closed-form moments of g.  Such a depth
+(the moment route) is one matrix product of phases ``exp(i x (S + c/P))``
+with the powers ``P^-k``, no transform call; its truncation is certified
+below ``1e-16 ||g||_1`` by the absolute moments, and its phases come from a
+row recurrence on an affine half grid.  Shallow depths, non-affine grids and
+forcing terms too wide for the bound keep the per-product transform.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -50,7 +61,7 @@ from .errors import (
     RegimeMismatch,
     SpectralLeakage,
 )
-from .gridfn import GridFn, half_grid
+from .gridfn import GridFn, affine_step, half_grid
 from .measure import RandomAffineMeasure, Regime, RegimeReport, classify_regime
 from .perpetuity import (
     CHUNK_ELEMS, ENUMERATION_CAP, estimate_charfn, forward_paths, generator, path_chunks,
@@ -64,12 +75,18 @@ class ExactStrategy:
 
 @dataclass(frozen=True)
 class MonteCarloStrategy:
+    """Sampled path averages: ``sample_count`` paths (an integer >= 1) from
+    the generator keyed by ``seed`` (an integer >= 0); numpy integers are
+    accepted, ``bool`` is not.  A bad field raises ``ValueError`` naming it."""
+
     sample_count: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        for name, least in (("sample_count", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 Strategy = Union[ExactStrategy, MonteCarloStrategy]
@@ -216,6 +233,66 @@ def series_term_mc(
 # series summation
 # ---------------------------------------------------------------------------
 
+#: A Monte Carlo depth takes the moment route when its chunk has
+#: ``max|x| / min|P_n|`` at most this.
+_MOMENT_Y0 = 0.25
+#: The moment route's Taylor remainder per depth, relative to ``||h||_1``.
+_MOMENT_TOL = 1e-16
+#: The highest Taylor order the moment route may use.
+_MOMENT_ORDER_MAX = 40
+#: Largest bound of one Taylor term, relative to ``||h||_1``: a rounding guard.
+_MOMENT_TERM_GUARD = 4.0
+#: Rows of the moment route's phase table between exact exps.
+_PHASE_ROWS = 16
+
+
+def _moment_plan(h, xs):
+    """The moment route's Taylor table on the ascending ``xs``, or None.
+
+    About the centre ``c`` of ``h``, ``hhat(y) = exp(i y c) sum_k a_k y^k``
+    with ``a_k = i^k m_k / k!``.  K terms leave at most ``M_K |y|^K / K!``,
+    so the order is the least K whose bound at ``|y| = _MOMENT_Y0`` is
+    within ``_MOMENT_TOL ||h||_1``: every depth the route serves has
+    ``|y| <= _MOMENT_Y0``.  There is no plan when no K up to
+    ``_MOMENT_ORDER_MAX`` does, when a term's bound exceeds
+    ``_MOMENT_TERM_GUARD ||h||_1``, or when ``xs`` is not affine.  Returns
+    ``(c, dx, w)`` with ``w[x, k] = a_k (x / max xs)^k``.
+    """
+    dx = affine_step(xs)
+    l1 = h.l1_upper_bound()
+    if dx is None or not l1 > 0:
+        return None
+    c = h.centre()
+    k = np.arange(_MOMENT_ORDER_MAX + 1)
+    fact = np.array([math.factorial(v) for v in k], dtype=float)
+    bounds = h.abs_moment_bounds(len(k), c) * _MOMENT_Y0 ** k / fact
+    small = np.flatnonzero(bounds <= _MOMENT_TOL * l1)
+    if not len(small) or not np.all(bounds[:small[0]] <= _MOMENT_TERM_GUARD * l1):
+        return None
+    order = small[0]
+    a = np.array([1, 1j, -1, -1j])[k[:order] % 4] * h.moments(order, c) / fact[:order]
+    return c, dx, a * np.vander(xs / xs[-1], order, increasing=True)
+
+
+def _phase_table(xs, z, dx):
+    """``exp(i xs z)`` for the affine ``xs`` (step ``dx``): an exact exp
+    every ``_PHASE_ROWS`` rows, times powers of ``exp(i dx z)`` between, so
+    each phase is at most 15 complex multiplies from an exact one."""
+    rows = min(_PHASE_ROWS, len(xs))
+    powers = _powers(np.exp(1j * (dx * z)), rows)
+    base = np.exp(1j * np.multiply.outer(xs[::rows], z))
+    return (base[:, None] * powers).reshape(-1, len(z))[:len(xs)]
+
+
+def _powers(r, order):
+    """``r**k`` row by row for k < order, one multiply per row."""
+    out = np.empty((order, len(r)), dtype=r.dtype)
+    out[0] = 1.0
+    for k in range(1, order):
+        np.multiply(out[k - 1], r, out=out[k])
+    return out
+
+
 def _terms_mc(measure, h, xs, n_max, sample_count, seed):
     """Monte Carlo estimates of T_n[h] on ``xs`` for n = 1 .. n_max.
 
@@ -223,9 +300,23 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
     depends on where the caller stops, and the running scale product and
     phase sum of each sample equal ``np.cumprod`` / ``np.cumsum`` bit for
     bit.  Indices are stored depth-major in the smallest integer type.
-    ``hhat`` is evaluated once per distinct product at each depth and
-    gathered to the paths: the same floats through the same elementwise
-    ufuncs, so every term is byte-identical to one evaluation per path.
+
+    Each depth of each chunk takes one of two routes.
+
+    * Direct: ``hhat`` is evaluated once per distinct product and gathered
+      to the paths: the same floats through the same elementwise ufuncs, so
+      every term is byte-identical to one evaluation per path.
+    * Moment: when :func:`_moment_plan` has a plan for ``h`` on ``xs`` and
+      ``ymax = max|x| / min|P_n| <= _MOMENT_Y0``, the chunk's sum is
+      ``sum_k a_k (x / xmax)^k sum_j exp(i x z_j) (xmax / P_j)^k`` with
+      ``z_j = S_j + c / P_j``: one (frequencies x paths) by (paths x K)
+      matrix product on a phase table from :func:`_phase_table`.  Each
+      depth moves by at most the certified ``1e-16 ||h||_1`` plus rounding.
+
+    Both block the frequencies so a block holds about ``CHUNK_ELEMS``
+    phases.  There is no plan, and every depth is direct, on a non-affine
+    ``xs``, when ``h`` is 0, or when the remainder bound needs more than
+    ``_MOMENT_ORDER_MAX`` terms or a term above the rounding guard.
     """
     ls, ms = measure.scales, measure.shifts
     small = np.min_scalar_type(len(ls) - 1)
@@ -233,13 +324,22 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
         (np.ascontiguousarray(idx.T, dtype=small), np.ones(len(idx)), np.zeros(len(idx)))
         for _, idx in path_chunks(measure, n_max, sample_count, generator(seed))
     ]
+    plan = _moment_plan(h, xs)
     for n in range(n_max):
         term = np.zeros(len(xs), dtype=complex)
         for idx, p, s in chunks:
             p *= ls[idx[n]]
             s += ms[idx[n]] / p
-            u, inv = np.unique(p, return_inverse=True)
             xblock = max(1, CHUNK_ELEMS // len(p))
+            if plan is not None and xs[-1] <= _MOMENT_Y0 * np.min(np.abs(p)):
+                c, dx, w = plan
+                z = s + c / p
+                powers = _powers(xs[-1] / p, w.shape[1]).T
+                for start in range(0, len(xs), xblock):
+                    xb = slice(start, start + xblock)
+                    term[xb] += ((_phase_table(xs[xb], z, dx) @ powers) * w[xb]).sum(axis=1)
+                continue
+            u, inv = np.unique(p, return_inverse=True)
             for start in range(0, len(xs), xblock):
                 xb = xs[start:start + xblock]
                 phases = np.exp(1j * np.multiply.outer(xb, s))

@@ -272,3 +272,72 @@ class TestPrimitiveValidation:
     def test_gaussian_needs_spread(self):
         with pytest.raises(ValueError):
             Gaussian(0.0, -1.0)
+
+
+MOMENT_FNS = {
+    "indicator": rr.indicator(0.3, 1.7),
+    "triangle": rr.triangle(-0.4, 1.3),
+    "gaussian": rr.gaussian(0.8, 0.6),
+    "negative-scale-image": rr.affine_image(
+        rr.indicator(-1.0, 0.5) + 0.5 * rr.triangle(1.0, 0.7) - rr.gaussian(2.0, 0.4), -2.0, 0.5),
+    "manufactured": rr.manufacture_inhomogeneity(
+        rr.build_measure([(-2.0, 1.0, 0.5), (3.0, -0.5, 0.5)]),
+        rr.gaussian(0.5, 0.9) + 0.8 * rr.triangle(-1.0, 1.2) + 0.3 * rr.indicator(0.0, 2.0)),
+}
+
+
+def _moment_quadrature(fn, c, order, points=100_000):
+    """Trapezoid quadrature of ``int (t - c)^k fn(t)`` and ``int |t - c|^k
+    |fn(t)|`` for k < order, piecewise between the jump points with one-sided
+    limits at the cuts (as in :func:`quadrature_transform`)."""
+    lo, hi = fn.support()
+    cuts = sorted({lo, hi, *(p for p in fn.jump_points() if lo <= p <= hi)})
+    signed, absolute = np.zeros(order), np.zeros(order)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        ts = np.linspace(a, b, max(1000, int(points * (b - a) / (hi - lo))))
+        vals = fn(ts)
+        vals[0], vals[-1] = fn(a + 1e-9 * (b - a)), fn(b - 1e-9 * (b - a))
+        for k in range(order):
+            signed[k] += np.trapezoid((ts - c) ** k * vals, ts)
+            absolute[k] += np.trapezoid(np.abs(ts - c) ** k * np.abs(vals), ts)
+    return signed, absolute
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_FNS))
+class TestMoments:
+    """Closed-form moments about a centre c: ``fhat(y) = exp(i y c) sum_k
+    (i y)^k m_k / k!`` with remainder at most ``M_K |y|^K / K!``."""
+
+    @pytest.mark.parametrize("order", [1, 4, 9, 17])
+    def test_taylor_remainder_certified(self, name, order):
+        fn = MOMENT_FNS[name]
+        y0 = rr.spectrum._MOMENT_Y0
+        ys = np.random.default_rng(order).uniform(-y0, y0, 200)
+        for c in (0.0, fn.centre()):
+            k = np.arange(order + 1)
+            fact = np.array([math.factorial(v) for v in k], dtype=float)
+            a = np.array([1, 1j, -1, -1j])[k[:order] % 4] * fn.moments(order, c) / fact[:order]
+            bounds = fn.abs_moment_bounds(order + 1, c) / fact
+            taylor = np.exp(1j * ys * c) * np.polyval(a[::-1], ys)
+            powers = np.abs(ys)[:, None] ** k
+            remainder = bounds[order] * powers[:, order]
+            # rounding: a few ulps of every Taylor term's bound, and of ||fn||_1
+            rounding = 64 * np.finfo(float).eps * (powers[:, :order] @ bounds[:order])
+            assert np.all(np.abs(fn.fourier(ys) - taylor) <= remainder + rounding)
+
+    def test_abs_moment_bounds_hold(self, name):
+        fn = MOMENT_FNS[name]
+        c = fn.centre()
+        bounds = fn.abs_moment_bounds(13, c)
+        _, quad = _moment_quadrature(fn, c, 13)
+        assert bounds[0] == pytest.approx(fn.l1_upper_bound(), rel=1e-15)
+        assert np.all(quad <= bounds * (1 + 1e-6))
+        if len(fn.terms) == 1:  # one primitive about its centre: the bound is exact
+            assert quad == pytest.approx(bounds, rel=1e-6)
+
+    def test_moments_match_quadrature(self, name):
+        fn = MOMENT_FNS[name]
+        for c in (0.0, fn.centre()):
+            quad, _ = _moment_quadrature(fn, c, 13)
+            assert np.all(np.abs(fn.moments(13, c) - quad) <= 1e-6 * fn.abs_moment_bounds(13, c))
+        assert fn.moments(1)[0] == pytest.approx(fn.mass(), abs=1e-15 * fn.l1_upper_bound())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import randrefine as rr
 import randrefine.gridfn as gridfn
@@ -68,6 +68,43 @@ class TestGridFn:
     def test_from_function_hits_nodes(self):
         fn = rr.GridFn.from_function(np.sin, 0.0, math.pi, math.pi / 100)
         assert fn(math.pi / 2) == pytest.approx(1.0, abs=1e-4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 20_000), t_min=st.floats(-50, 50), width=st.floats(1e-3, 100),
+           seed=st.integers(0, 2**32 - 1))
+    # 300 * (2.9 / 300) - 1.3 rounds below t_max, so linspace's last node is
+    # not k * step + t_min
+    @example(n=301, t_min=-1.3, width=2.9, seed=0)
+    def test_matches_interp_on_linspace_nodes_bytes(self, n, t_min, width, seed):
+        # probes off, on and one ulp either side of nodes, at both ends and
+        # outside the window; in groups of 8, fewer than n/32 probes build
+        # only the nodes around them
+        t_max = t_min + width
+        assume(t_min < t_max)
+        try:
+            fn = rr.GridFn(t_min, t_max, width / (n - 1),
+                           np.random.default_rng(seed).normal(size=n), -2.0, 3.0)
+        except ValueError:
+            assume(False)
+        nodes = np.linspace(t_min, t_max, n)
+        rng = np.random.default_rng(seed)
+        at = nodes[rng.integers(0, n, 40)]
+        probes = np.concatenate([
+            rng.uniform(t_min - 1, t_max + 1, 80), at, np.nextafter(at, np.inf),
+            np.nextafter(at, -np.inf), [t_min, t_max, np.nextafter(t_max, -np.inf), t_max + 1],
+        ])
+        oracle = np.interp(probes, nodes, fn.values, left=-2.0, right=3.0)
+        assert fn(probes).tobytes() == oracle.tobytes()
+        assert fn(probes.reshape(2, -1)).tobytes() == oracle.tobytes()
+        for group in np.array_split(np.arange(len(probes)), len(probes) // 8):
+            assert fn(probes[group]).tobytes() == oracle[group].tobytes()
+        assert fn(float(probes[-3])) == oracle[-3]
+
+    def test_nonfinite_probes_match_interp(self):
+        fn = rr.GridFn(0.0, 1.0, 0.25, np.array([0.0, 1.0, 1.0, 2.0, 3.0]), -1.0, 5.0)
+        probes = np.array([np.nan, np.inf, -np.inf, 0.3])
+        oracle = np.interp(probes, fn.nodes, fn.values, left=-1.0, right=5.0)
+        assert fn(probes).tobytes() == oracle.tobytes()
 
 
 class TestDifferentiate:

@@ -131,7 +131,8 @@ def _forward_charfn_product_oracle(measure, xs, tol=1e-15, max_factors=2000):
 
 class CountingFourier:
     """Forwards ``fourier`` to a closed form, counts the calls and records
-    each argument's shape."""
+    each argument's shape; every other attribute (the moments the Monte
+    Carlo moment route reads) comes from the closed form uncounted."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -142,6 +143,31 @@ class CountingFourier:
         self.calls += 1
         self.shapes.append(np.shape(x))
         return self.fn.fourier(x)
+
+    def __getattr__(self, name):
+        return getattr(self.fn, name)
+
+
+def _moment_route_depths(measure, g, xs, n_max, samples, seed):
+    """Per depth of one chunk of paths, whether ``_terms_mc`` takes the
+    moment route: ``max|x| <= y0 min|P_n|`` over the half grid of ``xs``."""
+    half = np.unique(np.abs(xs))
+    assert rr.spectrum._moment_plan(g, half) is not None
+    prods = np.cumprod(measure.scales[_draw(measure, n_max, samples, seed)], axis=1)
+    y0 = rr.spectrum._MOMENT_Y0
+    return [bool(half[-1] <= y0 * np.min(np.abs(prods[:, n]))) for n in range(n_max)]
+
+
+def _moment_route_tolerance(g, depths):
+    """The most the moment route may move a sum of ``depths`` Monte Carlo
+    terms: per depth its certified Taylor remainder, at most 1e-16 ||g||_1,
+    plus rounding of 256 ulps of the Taylor terms' bound
+    ``sum_k M_k y0^k / k!`` (a phase at most 15 complex multiplies from an
+    exact exp, at most 40 powers, and the sums over paths)."""
+    k = np.arange(41)
+    fact = np.array([math.factorial(v) for v in k], dtype=float)
+    taylor = g.abs_moment_bounds(len(k), g.centre()) * rr.spectrum._MOMENT_Y0 ** k / fact
+    return depths * (1e-16 * g.l1_upper_bound() + 256 * np.finfo(float).eps * taylor.sum())
 
 
 def single_atom_term(l, m, ghat, x, n):
@@ -290,7 +316,7 @@ class TestSumSeries:
         )
         assert np.max(np.abs(exact - mc)) < 0.03
 
-    @pytest.mark.parametrize("atoms, samples, n_max", [
+    STREAMED = pytest.mark.parametrize("atoms, samples, n_max", [
         ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], 2_000, 60),
         # 2_000_000 // 400 = 5000 rows per chunk
         ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], 12_000, 400),
@@ -300,7 +326,30 @@ class TestSumSeries:
         (ROUND_APART, 2_000, 60),
     ], ids=["one-chunk", "three-chunks", "zero-shift-negative-scale",
             "single-scale", "colliding-products", "round-apart-products"])
+
+    @STREAMED
     def test_streamed_monte_carlo_matches_upfront_oracle(self, atoms, samples, n_max):
+        measure = rr.build_measure(atoms)
+        g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
+        xs = rr.symmetric_grid(8.0, 5)
+        strategy = rr.MonteCarloStrategy(sample_count=samples, seed=5)
+        values, report = rr.sum_series_grid(measure, g, xs, strategy, n_max=n_max)
+        oracle, oracle_report = _series_grid_mc_upfront(
+            measure, g, xs, 1e-10, n_max, samples, 5
+        )
+        # the deep depths take the moment route: equal up to its certified
+        # remainder and rounding, the last term's maximum included
+        tol = _moment_route_tolerance(g, report.terms_used)
+        assert report.converged and report.terms_used < n_max
+        assert (report.terms_used, report.converged) == (oracle_report.terms_used,
+                                                         oracle_report.converged)
+        assert abs(report.last_term_max_abs - oracle_report.last_term_max_abs) <= tol
+        assert np.max(np.abs(values - oracle)) <= tol
+
+    @STREAMED
+    def test_streamed_monte_carlo_without_moment_route_matches_oracle_bytes(
+            self, atoms, samples, n_max, monkeypatch):
+        monkeypatch.setattr(rr.spectrum, "_MOMENT_Y0", 0.0)
         measure = rr.build_measure(atoms)
         g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
         xs = rr.symmetric_grid(8.0, 5)
@@ -336,6 +385,30 @@ class TestSumSeries:
         with pytest.raises(ValueError, match="sample_count"):
             rr.MonteCarloStrategy(sample_count=count)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"sample_count": 10.5}, "sample_count"),
+        ({"sample_count": 10.0}, "sample_count"),
+        ({"sample_count": True}, "sample_count"),
+        ({"sample_count": "10"}, "sample_count"),
+        ({"sample_count": None}, "sample_count"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": np.int64(-2)}, "seed"),
+        ({"seed": False}, "seed"),
+    ], ids=["fractional-count", "float-count", "bool-count", "str-count", "none-count",
+            "fractional-seed", "negative-seed", "negative-numpy-seed", "bool-seed"])
+    def test_strategy_fields_checked_when_built(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            rr.MonteCarloStrategy(**kwargs)
+
+    def test_strategy_accepts_numpy_integers(self):
+        strategy = rr.MonteCarloStrategy(sample_count=np.int32(7), seed=np.uint64(3))
+        m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
+        g = rr.indicator(0, 1) - rr.indicator(1, 2)
+        values, _ = rr.sum_series_grid(m, g, [0.5, 1.0], strategy, n_max=5)
+        plain, _ = rr.sum_series_grid(m, g, [0.5, 1.0], rr.MonteCarloStrategy(7, 3), n_max=5)
+        assert values.tobytes() == plain.tobytes()
+
     @pytest.mark.parametrize("atoms, n_max", [
         ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], 60),
         ([(2.0, 0.5, 0.5), (2.0, -1.0, 0.5)], 60),
@@ -349,12 +422,18 @@ class TestSumSeries:
         xs = rr.symmetric_grid(8.0, 33)
         _, report = rr.sum_series_grid(measure, g, xs, strategy, eps=0.0, n_max=n_max)
         assert report.terms_used == n_max
-        # one chunk and one frequency block: one call per depth, on the
-        # 17 distinct |x| times the distinct products P_n of the drawn paths
+        # one chunk and one frequency block: one call per direct-route
+        # depth, on the 17 distinct |x| times the distinct products P_n of
+        # the drawn paths, and none on a moment-route depth
         drawn = measure.scales[_draw(measure, n_max, 500, 2)]
         prods = np.cumprod(drawn, axis=1)
         distinct = [len(np.unique(prods[:, n])) for n in range(n_max)]
-        assert g.shapes == [(17, k) for k in distinct]
+        moment = _moment_route_depths(measure, g, xs, n_max, 500, 2)
+        assert g.shapes == [(17, k) for k, m in zip(distinct, moment) if not m]
+        calls = [g.calls]
+        for _ in rr.spectrum._terms_mc(measure, g, np.unique(np.abs(xs)), n_max, 500, 2):
+            calls.append(g.calls)
+        assert [b - a for a, b in zip(calls, calls[1:])] == [int(not m) for m in moment]
         assert distinct[0] <= len(np.unique(measure.scales))
         assert max(distinct) < 500
         # power-of-two factors multiply exactly, so only scales with odd
@@ -368,10 +447,13 @@ class TestSumSeries:
         measure = rr.build_measure([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)])
         g = CountingFourier(rr.gaussian(0, 1) - rr.gaussian(1, 1))
         strategy = rr.MonteCarloStrategy(sample_count=500, seed=1)
-        _, report = rr.sum_series_grid(measure, g, rr.symmetric_grid(8.0, 33), strategy)
-        # one chunk and one frequency block: one transform call per depth
+        xs = rr.symmetric_grid(8.0, 33)
+        _, report = rr.sum_series_grid(measure, g, xs, strategy)
+        # one chunk and one frequency block: one transform call per
+        # direct-route depth summed, none on a moment-route depth
         assert report.converged
-        assert g.calls == report.terms_used < 60
+        moment = _moment_route_depths(measure, g, xs, 60, 500, 1)[:report.terms_used]
+        assert 0 < g.calls == moment.count(False) < report.terms_used < 60
 
 
 ROUTES = {
@@ -514,6 +596,58 @@ def test_lattice_matches_walk_oracle_generated(atoms, depth):
     total = sum(w for _, _, w in atoms)
     measure = rr.build_measure([(l, m, w / total) for l, m, w in atoms])
     assert_lattice_matches_walk(measure, np.array([-4.1, 0.0, 0.6, 1.9, 6.3]), depth)
+
+
+PRIMITIVES = st.one_of(
+    st.builds(lambda a, w: rr.indicator(a, a + w),
+              st.floats(-2.0, 2.0), st.floats(0.1, 2.0)),
+    st.builds(rr.triangle, st.floats(-2.0, 2.0), st.floats(0.1, 1.5)),
+    st.builds(rr.gaussian, st.floats(-2.0, 2.0), st.floats(0.1, 1.2)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.sampled_from([-3.0, -2.0, -1.5, 0.5, 2.0, 3.0, 4.0]),
+                  st.floats(-2.0, 2.0), st.integers(1, 4)),
+        min_size=2, max_size=3,
+    ),
+    parts=st.lists(st.tuples(st.floats(-1.5, 1.5), PRIMITIVES), min_size=1, max_size=3),
+    image=st.tuples(st.sampled_from([-2.0, -0.5, 3.0]), st.floats(-1.0, 1.0)),
+    x_max=st.floats(0.5, 12.0),
+    points=st.integers(2, 40),
+    affine=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_moment_route_matches_direct_route_generated(atoms, parts, image, x_max, points,
+                                                     affine, seed):
+    # expansive measures with mixed and negative scales, a forcing term of
+    # every primitive kind minus an affine image, and small chunks: 300
+    # paths of depth 24 in chunks of 41 rows, frequency blocks of 24 rows
+    total = sum(w for _, _, w in atoms)
+    measure = rr.build_measure([(l, m, w / total) for l, m, w in atoms])
+    assume(rr.classify_regime(measure).regime is rr.Regime.LOG_EXPANSIVE)
+    f = rr.ClosedFormFn(tuple(t for c, p in parts for t in (c * p).terms))
+    g = f - rr.affine_image(f, *image)
+    rng = np.random.default_rng(seed)
+    if affine:
+        xs = rr.symmetric_grid(x_max, 2 * points + 1)
+    else:
+        xs = np.sort(rng.uniform(-x_max, x_max, points))
+    strategy = rr.MonteCarloStrategy(sample_count=300, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rr.perpetuity, "CHUNK_ELEMS", 1000)
+        mp.setattr(rr.spectrum, "CHUNK_ELEMS", 1000)
+        values, report = rr.sum_series_grid(measure, g, xs, strategy, eps=0.0, n_max=24)
+        mp.setattr(rr.spectrum, "_MOMENT_Y0", 0.0)
+        direct, direct_report = rr.sum_series_grid(measure, g, xs, strategy, eps=0.0, n_max=24)
+    assert report.terms_used == direct_report.terms_used == 24
+    if rr.spectrum._moment_plan(g, np.unique(np.abs(xs))) is None:
+        # a non-affine grid (or a g too wide for the route) keeps the direct kernel
+        assert values.tobytes() == direct.tobytes()
+    else:
+        assert np.max(np.abs(values - direct)) <= _moment_route_tolerance(g, 24)
 
 
 class TestForwardCharfnProduct:
