@@ -69,7 +69,6 @@ from .perpetuity import (
 from .picard import (
     PicardResult,
     cdf_equation_residual,
-    default_window,
     differentiate,
     integrability_diagnostic,
     picard_iterate,

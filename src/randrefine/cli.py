@@ -328,9 +328,14 @@ def cmd_perpetuity(args) -> int:
         elif what == "cdf":
             t_min = _value(pcfg, "t_min", -10.0)
             t_max = _value(pcfg, "t_max", 10.0)
+            if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max):
+                raise ConfigError("'t_min' and 't_max' must be finite with t_min < t_max, "
+                                  f"got {t_min!r} and {t_max!r}")
             points = _value(pcfg, "t_points", 2001, int)
-            if points > MAX_GRID_NODES:
-                raise ConfigError(f"'t_points' must be at most {MAX_GRID_NODES}, got {points}")
+            if not 2 <= points <= MAX_GRID_NODES:
+                raise ConfigError(
+                    f"'t_points' must be between 2 and {MAX_GRID_NODES}, got {points}"
+                )
             ts = np.linspace(t_min, t_max, points)
             est = estimate_cdf(measure, ts, samples, depth=depth, rng_seed=seed)
             _write_table(out, "perpetuity_cdf", ["t", "phi"],

@@ -353,13 +353,14 @@ class ClosedFormFn:
             pts.update(prim.jumps())
         return tuple(sorted(pts))
 
-    def simplify(self, drop_tol: float = 0.0) -> "ClosedFormFn":
-        """Merge identical primitives; drop coefficients with |c| <= drop_tol."""
+    def simplify(self) -> "ClosedFormFn":
+        """Merge identical primitives; keep only coefficients with
+        ``abs(c) > 0.0``, so terms that merge to zero are dropped."""
         merged: dict[Primitive, float] = {}
         for c, prim in self.terms:
             merged[prim] = merged.get(prim, 0.0) + c
         kept = tuple(
-            (c, prim) for prim, c in merged.items() if abs(c) > drop_tol
+            (c, prim) for prim, c in merged.items() if abs(c) > 0.0
         )
         return ClosedFormFn(kept)
 
@@ -421,10 +422,10 @@ def zero_fn() -> ClosedFormFn:
 
 # operations ------------------------------------------------------------------
 
-def zero_mean_check(fn: ClosedFormFn, tol: float = 1e-12) -> bool:
-    """True when the total integral vanishes, the admissibility gate for a
-    forcing term."""
-    return abs(fn.fourier(0.0)) <= tol
+def zero_mean_check(fn: ClosedFormFn) -> bool:
+    """True when the total integral vanishes to within 1e-12, the
+    admissibility gate for a forcing term."""
+    return abs(fn.fourier(0.0)) <= 1e-12
 
 
 def affine_image(fn: ClosedFormFn, l: float, m: float) -> ClosedFormFn:

@@ -10,10 +10,10 @@ Two partial sums over i.i.d. draws ``(L_1, M_1), (L_2, M_2), ...`` matter:
   contractive regime (its limit CDF feeds the CDF-level iteration).
 
 Samplers are pure functions of (measure, parameters, seed) built on a
-counter-based generator, so batches are reproducible and may run in
-parallel streams.  Every Monte Carlo route draws its atom paths through
-:func:`path_chunks`.  ``Generator.choice`` with weights draws one uniform
-per index in row-major order, so the chunking never changes a draw.
+counter-based generator keyed by the seed, so batches are reproducible.
+Every Monte Carlo route draws its atom paths through :func:`path_chunks`.
+``Generator.choice`` with weights draws one uniform per index in row-major
+order, so the chunking never changes a draw.
 
 The exact path laws walk the paths through :func:`state_walk`, which merges
 equal states; the spectral series terms group them by scale exponents.
@@ -42,11 +42,11 @@ CHUNK_ELEMS = 2_000_000
 DRAW_BUDGET = 2**28
 
 
-def generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream)."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
+def generator(seed: int) -> np.random.Generator:
+    """Counter-based generator: Philox keyed by ``seed``."""
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def path_chunks(measure: RandomAffineMeasure, depth: int, count: int, rng: np.random.Generator):
@@ -73,10 +73,10 @@ def forward_paths(measure: RandomAffineMeasure, idx: np.ndarray) -> tuple[np.nda
 
 
 def draw_forward(
-    measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int, stream: int = 0
+    measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int
 ) -> np.ndarray:
     """``count`` draws of the depth-truncated forward series."""
-    chunks = path_chunks(measure, depth, count, generator(rng_seed, stream))
+    chunks = path_chunks(measure, depth, count, generator(rng_seed))
     out = np.empty(count)
     for rows, idx in chunks:
         out[rows] = forward_paths(measure, idx)[0]
@@ -84,10 +84,10 @@ def draw_forward(
 
 
 def draw_backward(
-    measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int, stream: int = 0
+    measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int
 ) -> np.ndarray:
     """``count`` draws of the depth-n backward iterate Z_n."""
-    chunks = path_chunks(measure, depth, count, generator(rng_seed, stream))
+    chunks = path_chunks(measure, depth, count, generator(rng_seed))
     ls, ms = measure.scales, measure.shifts
     out = np.empty(count)
     for rows, idx in chunks:
@@ -112,10 +112,8 @@ def sample_backward_iterate(
     return float(draw_backward(measure, depth, 1, rng_seed)[0])
 
 
-def forward_truncation_depth(
-    measure: RandomAffineMeasure, tail_tol: float = 1e-14, cap: int = 500
-) -> int:
-    """Depth at which the forward tail is below ``tail_tol``.
+def forward_truncation_depth(measure: RandomAffineMeasure) -> int:
+    """Depth at which the forward tail is below 1e-14, capped at 500.
 
     With every ``|l| > 1`` the tail after n terms is bounded by
     ``max|m| / (lam_min - 1) * lam_min^{-n}``; otherwise no deterministic
@@ -126,17 +124,18 @@ def forward_truncation_depth(
     if mmax == 0.0:
         return 1
     if lam <= 1.0:
-        return cap
-    n = math.log(mmax / (tail_tol * (lam - 1.0))) / math.log(lam)
-    return max(1, min(cap, int(math.ceil(n))))
+        return 500
+    n = math.log(mmax / (1e-14 * (lam - 1.0))) / math.log(lam)
+    return max(1, min(500, int(math.ceil(n))))
 
 
-def backward_default_depth(report, target: float = 1e-12, cap: int = 200) -> int:
-    """Depth making the expected contraction factor smaller than ``target``."""
+def backward_default_depth(report) -> int:
+    """Depth making the expected contraction factor smaller than 1e-12,
+    capped at 200."""
     if report.mean_log_scale >= 0.0:
-        return cap
-    n = math.log(target) / report.mean_log_scale
-    return max(1, min(cap, int(math.ceil(n))))
+        return 200
+    n = math.log(1e-12) / report.mean_log_scale
+    return max(1, min(200, int(math.ceil(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,8 @@ def estimate_cdf(
 
     The default depth pushes the expected contraction factor below 1e-12
     (capped at 200).  The expansive regime is refused outright; the
-    critical regime only with ``allow_divergent``.
+    critical regime only with ``allow_divergent``.  A non-finite grid point
+    raises ``ValueError``.
     """
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
@@ -339,6 +339,8 @@ def estimate_cdf(
     if depth is None:
         depth = backward_default_depth(report)
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("t_grid must hold finite points")
     z = np.sort(draw_backward(measure, depth, sample_count, rng_seed))
     cdf = np.searchsorted(z, ts, side="right") / sample_count
     return PerpetuityEstimate(

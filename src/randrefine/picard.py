@@ -67,19 +67,6 @@ class PicardResult:
     jumps: tuple[tuple[int, int], ...] = ()
 
 
-def default_window(measure: RandomAffineMeasure, g: ClosedFormFn) -> tuple[float, float]:
-    """Window containing the forcing support, the map fixed points and a
-    geometric drift margin, so iteration images mostly stay inside."""
-    lo, hi = g.support()
-    lmax = float(np.max(measure.scales))
-    for l, m, _ in measure.atoms:
-        if l != 1.0:
-            fp = m / (l - 1.0)
-            lo, hi = min(lo, fp), max(hi, fp)
-    margin = (hi - lo) / max(1.0 - lmax, 0.1)
-    return lo - margin, hi + margin
-
-
 def picard_iterate(
     measure: RandomAffineMeasure,
     g: ClosedFormFn,
@@ -282,14 +269,14 @@ def _interp_plan(nodes: np.ndarray, l: float, m: float):
     return a, b, j, off
 
 
-def _warn_on_integral_identity(measure, g, sample_count: int = 20_000):
+def _warn_on_integral_identity(measure, g):
     from .perpetuity import check_cdf_integral_identity, estimate_cdf
 
     lo, hi = g.support()
     pad = 0.25 * (hi - lo) + 1.0
     ts = np.linspace(lo - pad, hi + pad, 2001)
-    est = estimate_cdf(measure, ts, sample_count, rng_seed=1)
-    tol = 5.0 * g.l1_upper_bound() / math.sqrt(sample_count) + 1e-6
+    est = estimate_cdf(measure, ts, 20_000, rng_seed=1)
+    tol = 5.0 * g.l1_upper_bound() / math.sqrt(20_000) + 1e-6
     if not check_cdf_integral_identity(g, est, tol):
         warnings.warn(
             "estimated limit CDF does not satisfy the integral identity "
@@ -330,23 +317,17 @@ def differentiate(cdf: GridFn) -> GridFn:
 def integrability_diagnostic(
     cdf: GridFn,
     window_schedule: Sequence[tuple[float, float]],
-    shrink_factor: float = 2.0,
-    floor: float = 1e-12,
 ) -> tuple[bool, list[float]]:
     """Estimate whether the derivative of ``cdf`` is absolutely integrable.
 
     Integrates |dF/dt| over each window of the expanding schedule.  The
     trend is Cauchy-like -- and the function judged integrable -- when each
-    successive increment shrinks by at least ``shrink_factor``; a harmonic
-    staircase (bounded F whose slope packets decay like 1/n) keeps adding
-    O(1) increments and is flagged non-integrable.
+    successive increment is at most half the one before, plus 1e-12; a
+    harmonic staircase (bounded F whose slope packets decay like 1/n) keeps
+    adding O(1) increments and is flagged non-integrable.
     """
     if len(window_schedule) < 3:
         raise ValueError("need at least three windows to see a trend")
-    if not (math.isfinite(shrink_factor) and shrink_factor > 0):
-        raise ValueError(f"shrink_factor must be finite and positive, got {shrink_factor!r}")
-    if not (math.isfinite(floor) and floor >= 0):
-        raise ValueError(f"floor must be finite and non-negative, got {floor!r}")
     trend: list[float] = []
     for lo, hi in window_schedule:
         sub = GridFn.from_function(cdf, lo, hi, cdf.step,
@@ -357,7 +338,7 @@ def integrability_diagnostic(
     increments = np.diff(trend)
     ok = True
     for prev, cur in zip(increments[:-1], increments[1:]):
-        if cur > prev / shrink_factor + floor:
+        if cur > prev / 2.0 + 1e-12:
             ok = False
             break
     return ok, trend

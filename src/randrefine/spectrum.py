@@ -425,15 +425,14 @@ def sum_series(
 # forward-limit characteristic function, exact flavour
 # ---------------------------------------------------------------------------
 
-def forward_charfn_product(
-    measure: RandomAffineMeasure, x_grid, tol: float = 1e-15, max_factors: int = 2000
-) -> np.ndarray:
+def forward_charfn_product(measure: RandomAffineMeasure, x_grid) -> np.ndarray:
     """E exp(i x Z) for the forward-series limit, when all scales coincide.
 
     Identical scales make the series increments independent, so the
     characteristic function is the product of the shift characteristic
     function along the geometric argument sequence; the tail of the product
-    is cut once its deviation from 1 is below ``tol``.
+    is cut once its deviation from 1 is below 1e-15, and after 2000 factors
+    at most.
     """
     scales = np.unique(measure.scales)
     if len(scales) > 1 or abs(scales[0]) <= 1.0:
@@ -447,9 +446,9 @@ def forward_charfn_product(
     if mmax == 0.0:
         return out
     xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
-    for _, (prods, phis) in zip(range(max_factors), _lattice(measure, xs)):
+    for _, (prods, phis) in zip(range(2000), _lattice(measure, xs)):
         out = phis[0]
-        if xmax * mmax / (abs(prods[0]) * (abs(scales[0]) - 1.0)) < tol:
+        if xmax * mmax / (abs(prods[0]) * (abs(scales[0]) - 1.0)) < 1e-15:
             break
     return out
 
@@ -467,20 +466,23 @@ def solve_spectrum(
     *,
     eps: float = 1e-10,
     n_max: int = 60,
-    charfn_depth: int | None = None,
     allow_unverified: bool = False,
     regime_report: RegimeReport | None = None,
 ) -> Spectrum:
     """Assemble the solution transform on ``x_grid`` for the given regime.
 
-    ``mass`` is the free value of the transform at 0.  It must be 0 in the
-    contractive regime (enforced); in the expansive regime with nonzero
-    shifts the forward-limit factor comes from the exact product when the
-    scale is deterministic (exact strategy) or from Monte Carlo estimation.
+    ``mass`` is the free value of the transform at 0: it must be finite
+    (``ValueError`` otherwise, before any work) and 0 in the contractive
+    regime (enforced).  In the expansive regime with nonzero shifts the
+    forward-limit factor comes from the exact product when the scale is
+    deterministic (exact strategy) or from Monte Carlo estimation at
+    :func:`estimate_charfn`'s default depth.
 
     Expansive maps with a common fixed point fail the sufficient check for
     the forward series; they are refused unless ``allow_unverified`` is set.
     """
+    if not math.isfinite(mass):
+        raise ValueError(f"mass must be finite, got {mass!r}")
     report = regime_report or classify_regime(measure)
     if not zero_mean_check(g):
         raise NonzeroMeanInhomogeneity(
@@ -511,10 +513,7 @@ def solve_spectrum(
                 "series is not known to converge; pass allow_unverified=True"
             )
         if isinstance(strategy, MonteCarloStrategy):
-            est = estimate_charfn(
-                measure, xs, strategy.sample_count,
-                depth=charfn_depth, rng_seed=strategy.seed,
-            )
+            est = estimate_charfn(measure, xs, strategy.sample_count, rng_seed=strategy.seed)
             factor = est.charfn_values
         else:
             factor = forward_charfn_product(measure, xs)

@@ -55,12 +55,8 @@ class ResidualReport:
         }
 
 
-def probe_grid(
-    measure: RandomAffineMeasure | None,
-    *fns: ClosedFormFn,
-    count: int = 4001,
-) -> np.ndarray:
-    """Uniform offset probes covering the supports and their map preimages."""
+def probe_grid(measure: RandomAffineMeasure | None, *fns: ClosedFormFn) -> np.ndarray:
+    """4001 uniform offset probes covering the supports and their map preimages."""
     lo = math.inf
     hi = -math.inf
     for fn in fns:
@@ -76,8 +72,8 @@ def probe_grid(
             lo, hi = min(lo, a), max(hi, b)
     pad = 0.05 * (hi - lo) + 1e-3
     lo, hi = lo - pad, hi + pad
-    step = (hi - lo) / count
-    return lo + (np.arange(count) + PROBE_OFFSET) * step
+    step = (hi - lo) / 4001
+    return lo + (np.arange(4001) + PROBE_OFFSET) * step
 
 
 def _tolerance_budget(
@@ -105,20 +101,15 @@ def residual_time(
     measure: RandomAffineMeasure,
     f: Candidate,
     g: ClosedFormFn,
-    probe_points=None,
 ) -> ResidualReport:
-    """Pointwise residual of the refinement identity on a probe grid.
+    """Pointwise residual of the refinement identity on :func:`probe_grid`
+    over the supports of g, and of f when it is a closed form.
 
     Reports the trapezoid L1 norm and the sup over probes, together with a
     tolerance budget (float noise for closed forms, plus an interpolation
     term for grid candidates).
     """
-    if probe_points is None:
-        if isinstance(f, ClosedFormFn):
-            probe_points = probe_grid(measure, f, g)
-        else:
-            probe_points = probe_grid(measure, g)
-    xs = np.atleast_1d(np.asarray(probe_points, dtype=float))
+    xs = probe_grid(measure, f, g) if isinstance(f, ClosedFormFn) else probe_grid(measure, g)
     r = np.asarray(f(xs), dtype=float) - g(xs)
     for l, m, p in measure.atoms:
         r = r - p * abs(l) * np.asarray(f(l * xs - m), dtype=float)
@@ -165,22 +156,21 @@ def finite_depth_residual(
 # critical-case solution families
 # ---------------------------------------------------------------------------
 
-def _symmetry_probes(center: float, g: ClosedFormFn, h: ClosedFormFn, count=2001):
+def _symmetry_probes(center: float, g: ClosedFormFn, h: ClosedFormFn):
     radius = 1.0
     for fn in (g, h):
         if fn.terms:
             a, b = fn.support()
             radius = max(radius, abs(a - center), abs(b - center))
     radius *= 1.05
-    step = radius / count
-    return (np.arange(count) + PROBE_OFFSET) * step
+    step = radius / 2001
+    return (np.arange(2001) + PROBE_OFFSET) * step
 
 
 def example_family(
     which: str,
     g: ClosedFormFn,
     h: ClosedFormFn,
-    tol: float = 1e-12,
 ) -> tuple[RandomAffineMeasure, ClosedFormFn]:
     """Build a critical-regime fixture with a known solution family.
 
@@ -192,8 +182,8 @@ def example_family(
     and h mirror-symmetric about ``x = s``; then every f = h + g solves the
     identity, one solution per choice of h -- the regime's non-uniqueness.
 
-    Symmetry of the inputs is verified numerically on offset probes and
-    violations raise :class:`SymmetryViolated`.
+    Symmetry of the inputs is verified numerically on offset probes, and a
+    deviation above 1e-12 raises :class:`SymmetryViolated`.
     """
     centers = {"example1": 0.0, "example2": 1.0}
     if which not in centers:
@@ -201,12 +191,12 @@ def example_family(
     s = centers[which]
     u = _symmetry_probes(s, g, h)
     g_asym = np.max(np.abs(g(s + u) + g(s - u)))
-    if g_asym > tol:
+    if g_asym > 1e-12:
         raise SymmetryViolated(
             f"g must be point-antisymmetric about ({s}, 0); deviation {g_asym:.3e}"
         )
     h_sym = np.max(np.abs(h(s + u) - h(s - u)))
-    if h_sym > tol:
+    if h_sym > 1e-12:
         raise SymmetryViolated(
             f"h must be mirror-symmetric about x = {s}; deviation {h_sym:.3e}"
         )

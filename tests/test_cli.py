@@ -232,6 +232,19 @@ class TestSolve:
         )
         assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("mass", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("measure", [
+        None, [{"l": 2, "m": 0, "p": 0.5}, {"l": 2, "m": 1, "p": 0.5}],
+    ], ids=["contractive", "expansive"])
+    def test_nonfinite_mass_exit_one(self, tmp_path, capsys, measure, mass):
+        # expansive: nan wrote nan rows and a bare NaN verdict, inf exited 5
+        # on leakage; contractive: nan exited 5 (MassMustBeZero)
+        cfg = write_config(tmp_path, **({"measure": measure} if measure else {}))
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out), f"--mass={mass}"]) == 1
+        assert capsys.readouterr().err.startswith("error: mass must be finite")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -353,6 +366,22 @@ class TestPerpetuity:
         assert main(["perpetuity", str(cfg), "--out-dir", str(out)]) == 0
         lines = (out / "perpetuity_cdf.csv").read_text().splitlines()
         assert lines[1] == "t,phi"
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"t_points": 0}, "'t_points' must be between 2"),
+        ({"t_points": 1}, "'t_points' must be between 2"),
+        ({"t_min": 1.0, "t_max": -1.0}, "'t_min' and 't_max' must be finite"),
+        ({"t_min": "nan"}, "'t_min' and 't_max' must be finite"),
+        ({"t_max": float("inf")}, "'t_min' and 't_max' must be finite"),
+    ], ids=["zero-points", "one-point", "reversed", "nan-t-min", "infinite-t-max"])
+    def test_bad_cdf_grid_exit_one(self, tmp_path, capsys, entries, message):
+        # each of these exited 0: a header-only table, one point, a reversed
+        # grid, or nan,1 rows
+        cfg = write_config(tmp_path, perpetuity={"samples": 100, **entries})
+        out = tmp_path / "out"
+        assert main(["perpetuity", str(cfg), "--out-dir", str(out), "--what", "cdf"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_flag_exit_one(self, tmp_path, samples):

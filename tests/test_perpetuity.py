@@ -128,6 +128,14 @@ class TestSamplers:
         c = rr.draw_forward(m, 20, 5000, 124)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 + 3, np.uint64(2**40 + 1)])
+    def test_generator_is_philox_keyed_by_seed(self, seed):
+        # every draw oracle calls generator itself; this pins the key
+        a, b = pp.generator(seed), np.random.Generator(np.random.Philox(key=seed))
+        assert a.random(16).tobytes() == b.random(16).tobytes()
+        assert np.array_equal(a.choice(3, size=(8, 5), p=[0.5, 0.3, 0.2]),
+                              b.choice(3, size=(8, 5), p=[0.5, 0.3, 0.2]))
+
     def test_forward_uniform_limit(self):
         # binary-digit perpetuity: the forward series tends to Uniform(0, 1)
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
@@ -465,6 +473,13 @@ class TestCdfEstimate:
             rr.estimate_cdf(m, [0.0], 100)
         with pytest.raises(rr.RegimeMismatch):
             rr.estimate_cdf(m, [0.0], 100, allow_divergent=True)
+
+    @pytest.mark.parametrize("ts", [[0.0, np.nan], [np.inf], [-np.inf, 0.0]])
+    def test_nonfinite_point_refused(self, ts):
+        # a NaN point read phi = 1
+        m = rr.build_measure([(0.5, 1, 1.0)])
+        with pytest.raises(ValueError, match="t_grid must hold finite"):
+            rr.estimate_cdf(m, ts, 100)
 
     def test_default_depth_rule(self):
         m = rr.build_measure([(0.5, 1, 1.0)])

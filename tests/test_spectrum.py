@@ -689,6 +689,15 @@ class TestSolveSpectrum:
         with pytest.raises(rr.MassMustBeZero):
             rr.solve_spectrum(measure, g, 1.0, rr.symmetric_grid(10.0, 33))
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("atoms", [[(0.5, 1, 1.0)], [(2, 0, 0.5), (2, 1, 0.5)]],
+                             ids=["contractive", "expansive"])
+    def test_nonfinite_mass_refused_first(self, atoms, mass):
+        # a nonzero-mean g shows that mass is checked before anything else
+        m = rr.build_measure(atoms)
+        with pytest.raises(ValueError, match="mass must be finite"):
+            rr.solve_spectrum(m, rr.indicator(0, 1), mass, rr.symmetric_grid(5.0, 17))
+
     def test_nonzero_mean_forcing_refused(self):
         m = rr.build_measure([(0.5, 1, 1.0)])
         with pytest.raises(rr.NonzeroMeanInhomogeneity):
