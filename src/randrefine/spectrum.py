@@ -255,12 +255,14 @@ def _moment_plan(h, xs):
     within ``_MOMENT_TOL ||h||_1``: every depth the route serves has
     ``|y| <= _MOMENT_Y0``.  There is no plan when no K up to
     ``_MOMENT_ORDER_MAX`` does, when a term's bound exceeds
-    ``_MOMENT_TERM_GUARD ||h||_1``, or when ``xs`` is not affine.  Returns
+    ``_MOMENT_TERM_GUARD ||h||_1``, when ``_MOMENT_TOL ||h||_1`` is below
+    the smallest normal float (the bounds would underflow to 0 and pass
+    vacuously), or when ``xs`` is not affine.  Returns
     ``(c, dx, w)`` with ``w[x, k] = a_k (x / max xs)^k``.
     """
     dx = affine_step(xs)
     l1 = h.l1_upper_bound()
-    if dx is None or not l1 > 0:
+    if dx is None or not _MOMENT_TOL * l1 >= np.finfo(float).tiny:
         return None
     c = h.centre()
     k = np.arange(_MOMENT_ORDER_MAX + 1)
