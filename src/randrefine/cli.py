@@ -18,29 +18,24 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .closedform import ClosedFormFn, fn_from_json
 from .errors import (
     CriticalRegime,
     InvalidMeasure,
     NonzeroMeanInhomogeneity,
     RandRefineError,
 )
-from .gridfn import MAX_GRID_NODES, GridFn, grid_size
+from .gridfn import MAX_GRID_NODES, GridFn, grid_size, symmetric_grid
 from .measure import Regime, classify_regime, measure_from_json
-from .perpetuity import estimate_cdf, estimate_charfn
-from .picard import differentiate, picard_iterate
-from .spectrum import (
-    EXACT,
-    MonteCarloStrategy,
-    invert_spectrum,
-    solve_spectrum,
-    symmetric_grid,
-)
-from .verify import residual_time
+
+# Each subcommand imports the solver modules it uses in its handler, so a
+# process loads (and, without a bytecode cache, compiles) only those.
+if TYPE_CHECKING:
+    from .closedform import ClosedFormFn
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -87,6 +82,8 @@ def _measure_from(cfg: dict):
 
 
 def _forcing_from(cfg: dict) -> ClosedFormFn:
+    from .closedform import fn_from_json
+
     if "g" not in cfg:
         raise ConfigError("config lacks a 'g' entry")
     try:
@@ -140,6 +137,8 @@ def _provenance(config_hash: str, seed: int) -> str:
 
 
 def _strategy(solver: dict, args, seed: int):
+    from .spectrum import EXACT, MonteCarloStrategy
+
     name = args.strategy or _value(solver, "strategy", "exact", str)
     if name == "exact":
         return EXACT
@@ -188,6 +187,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .spectrum import invert_spectrum, solve_spectrum
+    from .verify import residual_time
+
     cfg, config_hash = _load_config(args.config)
     measure = _measure_from(cfg)
     g = _forcing_from(cfg)
@@ -226,6 +228,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_iterate(args) -> int:
+    from .picard import differentiate, picard_iterate
+
     cfg, config_hash = _load_config(args.config)
     measure = _measure_from(cfg)
     g = _forcing_from(cfg)
@@ -258,6 +262,8 @@ def cmd_iterate(args) -> int:
 
 
 def _load_solution(path: str):
+    from .closedform import fn_from_json
+
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"solution file {path} does not exist")
@@ -294,6 +300,8 @@ def _load_solution(path: str):
 
 
 def cmd_verify(args) -> int:
+    from .verify import residual_time
+
     cfg, _ = _load_config(args.config)
     measure = _measure_from(cfg)
     g = _forcing_from(cfg)
@@ -304,6 +312,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_perpetuity(args) -> int:
+    from .perpetuity import estimate_cdf, estimate_charfn
+
     cfg, config_hash = _load_config(args.config)
     measure = _measure_from(cfg)
     seed = _seed(cfg, args)

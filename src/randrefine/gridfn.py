@@ -52,6 +52,14 @@ def affine_step(xs: np.ndarray) -> float | None:
     return dx if np.all(drift <= 4 * np.spacing(xs[-1])) else None
 
 
+def symmetric_grid(x_max: float, points: int) -> np.ndarray:
+    """Uniform grid on [-x_max, x_max] with exact mirror pairs and a 0 node."""
+    if points % 2 == 0:
+        raise ValueError("points must be odd so the grid contains 0")
+    half = np.linspace(0.0, x_max, points // 2 + 1)
+    return np.concatenate([-half[:0:-1], half])
+
+
 @dataclass(frozen=True)
 class GridFn:
     """Samples on the uniform grid ``t_min, t_min+step, ..., t_max``.

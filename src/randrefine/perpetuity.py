@@ -12,8 +12,10 @@ Two partial sums over i.i.d. draws ``(L_1, M_1), (L_2, M_2), ...`` matter:
 Samplers are pure functions of (measure, parameters, seed) built on a
 counter-based generator keyed by the seed, so batches are reproducible.
 Every Monte Carlo route draws its atom paths through :func:`path_chunks`.
-``Generator.choice`` with weights draws one uniform per index in row-major
-order, so the chunking never changes a draw.
+Each index is one ``Generator.random`` uniform in row-major order, searched
+in the normalised cumulative weights: the rule ``Generator.choice`` applies,
+so every draw equals its draw and the chunking never changes one.  Draws and
+path sums go through buffers of about ``_BLOCK_ELEMS`` elements.
 
 The exact path laws walk the paths through :func:`state_walk`, which merges
 equal states; the spectral series terms group them by scale exponents.
@@ -41,6 +43,12 @@ CHUNK_ELEMS = 2_000_000
 #: Most path indices (samples times depth) one Monte Carlo call may draw.
 DRAW_BUDGET = 2**28
 
+#: Elements per sampler buffer: uniforms, gathered indices and path-sum rows.
+_BLOCK_ELEMS = 65_536
+
+#: Most atoms whose index draw compares a uniform with every cumulative weight.
+_COMPARE_ATOMS = 64
+
 
 def generator(seed: int) -> np.random.Generator:
     """Counter-based generator: Philox keyed by ``seed``."""
@@ -51,9 +59,15 @@ def generator(seed: int) -> np.random.Generator:
 
 def path_chunks(measure: RandomAffineMeasure, depth: int, count: int, rng: np.random.Generator):
     """``count`` i.i.d. atom paths of length ``depth`` as chunks ``(rows, idx)``
-    of sample slices and atom indices; arguments are checked before any draw."""
+    of sample slices and atom indices; arguments are checked before any draw.
+
+    The indices are those of ``rng.choice(len(measure), size, p=weights)``,
+    value for value, stored in the smallest unsigned dtype (``uint8`` up to
+    256 atoms).  A one-atom measure draws no uniforms."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if count < 0:
+        raise ValueError(f"sample count must be >= 0, got {count}")
     if count * depth > DRAW_BUDGET:
         raise ValueError(
             f"{count} samples of depth {depth} exceed the draw budget of {DRAW_BUDGET} indices"
@@ -61,41 +75,109 @@ def path_chunks(measure: RandomAffineMeasure, depth: int, count: int, rng: np.ra
     rows = max(1, CHUNK_ELEMS // depth)
     return (
         (slice(i, min(i + rows, count)),
-         rng.choice(len(measure), size=(min(rows, count - i), depth), p=measure.weights))
+         _draw_indices(measure.weights, (min(rows, count - i), depth), rng))
         for i in range(0, count, rows)
     )
 
 
+def _draw_indices(weights: np.ndarray, shape: tuple[int, int], rng: np.random.Generator):
+    """Atom indices of ``shape`` by inverse transform, as ``Generator.choice``
+    draws them: one uniform ``u`` per index in row-major order, and the index
+    is the count of ``cdf = cumsum(weights) / cumsum(weights)[-1]`` entries at
+    most ``u`` (``searchsorted(side="right")``).  Up to ``_COMPARE_ATOMS``
+    atoms that count is taken by comparisons, which are cheaper than the
+    binary search.  The uniforms go through one buffer of ``_BLOCK_ELEMS``."""
+    idx = np.zeros(shape, dtype=np.min_scalar_type(len(weights) - 1))
+    if len(weights) > 1:
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        flat = idx.reshape(-1)
+        buf = np.empty(min(_BLOCK_ELEMS, flat.size))
+        below = np.empty(len(buf), dtype=bool)
+        for start in range(0, flat.size, len(buf)):
+            u = rng.random(out=buf[:flat.size - start])
+            seg = flat[start:start + len(u)]
+            if len(weights) > _COMPARE_ATOMS:
+                seg[...] = np.searchsorted(cdf, u, side="right")
+                continue
+            for c in cdf[:-1]:  # cdf[-1] is 1 > u
+                seg += np.greater_equal(u, c, out=below[:len(u)])
+    return idx
+
+
+def _path_sums(measure, idx, out, last=None, backward=False):
+    """Write the row sums of the forward terms ``M_k / (L_1...L_k)`` of index
+    rows ``idx`` into ``out``, and the products ``L_1...L_n`` into ``last``;
+    with ``backward``, the sums of ``-M_i L_1...L_{i-1}``.
+
+    Rows go in blocks of about ``_BLOCK_ELEMS`` elements through two reused
+    row-major float64 buffers, so each row is summed in numpy's pairwise
+    order: the bytes of ``(ms[idx] / np.cumprod(ls[idx], axis=1)).sum(axis=1)``
+    and of its backward twin.  A forward product past the float range is
+    ``inf`` and its term 0, without a warning.
+    """
+    ls, ms = measure.scales, measure.shifts
+    count, depth = idx.shape
+    step = max(1, _BLOCK_ELEMS // depth)
+    prods, terms = np.empty((2, min(step, count), depth))
+    for start in range(0, count, step):
+        block = idx[start:start + step]
+        p, t = prods[:len(block)], terms[:len(block)]
+        if backward:
+            _gather(ls, block, t)
+            p[:, 0] = 1.0
+            np.cumprod(t[:, :-1], axis=1, out=p[:, 1:])
+            _gather(ms, block, t)
+            t *= p
+            out[start:start + len(block)] = -t.sum(axis=1)
+        else:
+            _gather(ls, block, p)
+            with np.errstate(over="ignore"):
+                np.cumprod(p, axis=1, out=p)
+            _gather(ms, block, t)
+            t /= p
+            out[start:start + len(block)] = t.sum(axis=1)
+            if last is not None:
+                last[start:start + len(block)] = p[:, -1]
+
+
+def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = values[idx]`` for contiguous ``idx`` and ``out``, in
+    segments of ``_BLOCK_ELEMS``, so ``np.take``'s intp copy of the indices
+    stays small when one row is longer than a block."""
+    src, dst = idx.reshape(-1), out.reshape(-1)
+    for start in range(0, len(src), _BLOCK_ELEMS):
+        seg = slice(start, start + _BLOCK_ELEMS)
+        np.take(values, src[seg], out=dst[seg], mode="clip")
+
+
 def forward_paths(measure: RandomAffineMeasure, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward sums ``sum_k M_k / (L_1...L_k)`` and products ``L_1...L_n`` of index rows."""
-    prods = np.cumprod(measure.scales[idx], axis=1)
-    return (measure.shifts[idx] / prods).sum(axis=1), prods[:, -1]
+    sums, last = np.empty((2, len(idx)))
+    _path_sums(measure, idx, sums, last)
+    return sums, last
+
+
+def _draw(measure, depth, count, rng_seed, backward):
+    chunks = path_chunks(measure, depth, count, generator(rng_seed))
+    out = np.empty(count)
+    for rows, idx in chunks:
+        _path_sums(measure, idx, out[rows], backward=backward)
+    return out
 
 
 def draw_forward(
     measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int
 ) -> np.ndarray:
     """``count`` draws of the depth-truncated forward series."""
-    chunks = path_chunks(measure, depth, count, generator(rng_seed))
-    out = np.empty(count)
-    for rows, idx in chunks:
-        out[rows] = forward_paths(measure, idx)[0]
-    return out
+    return _draw(measure, depth, count, rng_seed, backward=False)
 
 
 def draw_backward(
     measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int
 ) -> np.ndarray:
     """``count`` draws of the depth-n backward iterate Z_n."""
-    chunks = path_chunks(measure, depth, count, generator(rng_seed))
-    ls, ms = measure.scales, measure.shifts
-    out = np.empty(count)
-    for rows, idx in chunks:
-        scales = ls[idx]
-        prods = np.ones_like(scales)
-        np.cumprod(scales[:, :-1], axis=1, out=prods[:, 1:])
-        out[rows] = -(ms[idx] * prods).sum(axis=1)
-    return out
+    return _draw(measure, depth, count, rng_seed, backward=True)
 
 
 def sample_forward_series(

@@ -120,14 +120,6 @@ class Spectrum:
         return complex(self.values[idx])
 
 
-def symmetric_grid(x_max: float, points: int) -> np.ndarray:
-    """Uniform grid on [-x_max, x_max] with exact mirror pairs and a 0 node."""
-    if points % 2 == 0:
-        raise ValueError("points must be odd so the grid contains 0")
-    half = np.linspace(0.0, x_max, points // 2 + 1)
-    return np.concatenate([-half[:0:-1], half])
-
-
 # ---------------------------------------------------------------------------
 # path-average terms
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .closedform import ClosedFormFn, affine_image
 from .errors import SymmetryViolated
 from .gridfn import GridFn
 from .measure import RandomAffineMeasure, build_measure
-from .spectrum import exact_terms
 
 #: Sub-step offset of probe grids, kept irrational so rational jump points
 #: are never sampled exactly.
@@ -143,6 +142,8 @@ def finite_depth_residual(
 
     which holds for every N exactly when f solves the identity (depth 1 is
     the plain transform-side residual).  One exact walk serves all probes."""
+    from .spectrum import exact_terms
+
     if depth < 1:
         raise ValueError("depth must be >= 1")
     xs = np.atleast_1d(np.asarray(x_probes, dtype=float))

@@ -1,4 +1,8 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -403,3 +407,35 @@ class TestPerpetuity:
         read = lambda d: (d / "charfn.csv").read_text().splitlines()[2:]
         assert read(a) == read(b)
         assert read(a) != read(c)
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize("command, flags, absent", [
+        ("classify", [], ["spectrum", "picard", "verify"]),
+        ("iterate", ["--step", "0.01"], ["spectrum", "verify"]),
+        ("perpetuity", ["--samples", "1000"], ["spectrum", "picard", "verify"]),
+    ])
+    def test_subcommand_loads_only_its_modules(self, tmp_path, command, flags, absent):
+        # a fresh interpreter, as the installed script runs each subcommand
+        cfg = write_config(tmp_path)
+        code = ("import json, sys; from randrefine.cli import main; rc = main(sys.argv[1:]); "
+                "print(json.dumps([rc, sorted(sys.modules)]))")
+        src = os.path.dirname(os.path.dirname(rr.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code, command, str(cfg), "--out-dir", str(tmp_path), *flags],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        rc, modules = json.loads(done.stdout.splitlines()[-1])
+        assert rc == 0
+        assert not {f"randrefine.{name}" for name in absent} & set(modules)
+
+    def test_public_names_are_their_submodules_objects(self):
+        assert len(rr.__all__) == len(set(rr.__all__)) == 75
+        for name in rr.__all__:
+            module = importlib.import_module(f"randrefine.{rr._MODULE_OF[name]}")
+            assert getattr(rr, name) is getattr(module, name), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'solve'"):
+            rr.solve  # noqa: B018

@@ -164,10 +164,14 @@ class TestErf:
         assert isinstance(rr.gaussian(0, 1).antiderivative(0.3), float)
 
     def test_import_leaves_scipy_unloaded(self):
+        # the package loads its submodules on first use, so resolve every
+        # public name before looking for scipy
         src = os.path.dirname(os.path.dirname(rr.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, randrefine; [getattr(randrefine, n) for n in randrefine.__all__]; "
+                "print('scipy' in sys.modules)")
         out = subprocess.run(
-            [sys.executable, "-c", "import sys, randrefine; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,8 @@ def _charfn_full_grid_oracle(measure, xs, sample_count, depth, seed):
 
 
 MIXED = [(2.0, 0.5, 0.5), (3.0, -1.0, 0.3), (-4.0, 1.5, 0.2)]
+README = [(0.5, 1.0, 1.0)]
+EXPANSIVE = [(2.0, -1.0, 0.5), (2.0, 1.0, 0.5)]  # the CLI session's kind: one scale 2
 
 
 def _enumerate_paths_oracle(measure, depth, which):
@@ -177,6 +180,99 @@ class TestPathChunks:
     def test_samplers_refuse_over_budget_counts(self, sampler):
         with pytest.raises(ValueError, match="draw budget"):
             sampler(rr.build_measure(MIXED), 500, 10**13, 0)
+
+    @pytest.mark.parametrize("sampler", [rr.draw_forward, rr.draw_backward])
+    def test_negative_count_refused_by_name(self, sampler):
+        # numpy's bare "negative dimensions are not allowed" escaped before
+        with pytest.raises(ValueError, match="sample count must be >= 0, got -3"):
+            sampler(rr.build_measure(MIXED), 5, -3, 1)
+        rng = pp.generator(0)
+        with pytest.raises(ValueError, match="sample count"):
+            pp.path_chunks(rr.build_measure(MIXED), 5, -1, rng)
+        assert rng.random() == pp.generator(0).random()  # nothing drawn
+
+    @pytest.mark.parametrize("sampler", [rr.draw_forward, rr.draw_backward])
+    def test_zero_count_gives_empty_draws(self, sampler):
+        assert sampler(rr.build_measure(MIXED), 5, 0, 1).shape == (0,)
+
+    @pytest.mark.parametrize("atoms, dtype", [
+        (1, np.uint8), (64, np.uint8), (65, np.uint8), (256, np.uint8), (257, np.uint16),
+    ])
+    def test_index_dtype_and_choice_values_at_boundaries(self, atoms, dtype):
+        # 64/65 atoms: comparisons against binary search; 256/257: uint8 against uint16
+        m = rr.build_measure([(2.0, float(j), 1.0 / atoms) for j in range(atoms)])
+        (_, idx), = pp.path_chunks(m, 9, 1000, pp.generator(5))
+        assert idx.dtype == dtype
+        assert np.array_equal(idx, pp.generator(5).choice(atoms, size=(1000, 9), p=m.weights))
+
+    def test_one_atom_draws_no_uniforms(self):
+        rng = pp.generator(2)
+        chunks = list(pp.path_chunks(rr.build_measure(README), 40, 100_000, rng))
+        assert all(not idx.any() for _, idx in chunks)
+        assert rng.random() == pp.generator(2).random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(1e-300, 1e-12), st.floats(1e-3, 1.0)), min_size=1, max_size=300),
+    st.integers(1, 40), st.integers(1, 3000), st.integers(0, 2**32),
+)
+def test_path_chunk_indices_equal_choice(raw, depth, count, seed):
+    """Every index ``path_chunks`` draws is ``Generator.choice``'s, value for
+    value, over 1-300 atoms (both index dtypes and both search routes), tiny
+    weights, several chunks and uniform blocks split across rows."""
+    total = math.fsum(raw)
+    m = rr.build_measure([(2.0, float(j), w / total) for j, w in enumerate(raw)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pp, "CHUNK_ELEMS", 50_000)
+        chunks = list(pp.path_chunks(m, depth, count, pp.generator(seed)))
+    idx = np.concatenate([idx for _, idx in chunks])
+    assert idx.dtype == np.min_scalar_type(len(raw) - 1)
+    assert np.array_equal(idx, pp.generator(seed).choice(len(raw), size=(count, depth), p=m.weights))
+
+
+def _traced_peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSamplerMemory:
+    """Traced peak allocations: the draws go through block-sized buffers."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: rr.draw_backward(rr.build_measure(README), 40, 100_000, 3),
+        lambda: rr.draw_forward(rr.build_measure(EXPANSIVE), 47, 100_000, 3),
+        lambda: rr.estimate_charfn(rr.build_measure(EXPANSIVE), rr.symmetric_grid(10.0, 201),
+                                   100_000, rng_seed=3),
+    ], ids=["backward-readme", "forward-expansive", "charfn-expansive"])
+    def test_cli_sized_draws_peak_below_8_mib(self, call):
+        # 77.1 and 46.9 MiB when whole chunks of int64 indices were drawn
+        assert _traced_peak_mib(call) <= 8.0
+
+    @pytest.mark.parametrize("draw, atoms, parent_mib", [
+        (rr.draw_forward, EXPANSIVE, 96.7),
+        (rr.draw_backward, [(0.5, 1.0, 0.5), (-0.5, -1.0, 0.5)], 128.0),
+    ], ids=["forward", "backward"])
+    def test_one_row_longer_than_a_block_stays_bounded(self, draw, atoms, parent_mib):
+        # one path of depth 2**22: the uniforms and the gathered indices go in
+        # blocks, so only the row's two float64 buffers grow with the depth
+        assert _traced_peak_mib(lambda: draw(rr.build_measure(atoms), 2**22, 1, 0)) <= parent_mib
+
+
+def test_forward_products_past_float_range_warn_nothing():
+    # scale 2 passes 1e308 after about 1024 steps; the suite turns a
+    # RuntimeWarning into an error, and the terms m / P_k round to 0 as in
+    # the oracle
+    m = rr.build_measure(EXPANSIVE)
+    draws = rr.draw_forward(m, 2000, 500, 5)
+    with np.errstate(over="ignore"):
+        oracle = _draw_forward_oracle(m, 2000, 500, 5)
+    assert draws.tobytes() == oracle.tobytes()
+    assert np.all(np.isfinite(draws))
 
 
 @pytest.mark.parametrize("depth, count", [
