@@ -293,7 +293,8 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
     Every path is drawn before the first depth is evaluated, so no estimate
     depends on where the caller stops, and the running scale product and
     phase sum of each sample equal ``np.cumprod`` / ``np.cumsum`` bit for
-    bit.  Indices are stored depth-major in the smallest integer type.
+    bit.  Indices are stored depth-major, in the smallest unsigned dtype
+    :func:`path_chunks` draws them in.
 
     Each depth of each chunk takes one of two routes.
 
@@ -313,9 +314,8 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
     ``_MOMENT_ORDER_MAX`` terms or a term above the rounding guard.
     """
     ls, ms = measure.scales, measure.shifts
-    small = np.min_scalar_type(len(ls) - 1)
     chunks = [  # (indices, running product, running phase sum)
-        (np.ascontiguousarray(idx.T, dtype=small), np.ones(len(idx)), np.zeros(len(idx)))
+        (np.ascontiguousarray(idx.T), np.ones(len(idx)), np.zeros(len(idx)))
         for _, idx in path_chunks(measure, n_max, sample_count, generator(seed))
     ]
     plan = _moment_plan(h, xs)
