@@ -12,10 +12,11 @@ Two partial sums over i.i.d. draws ``(L_1, M_1), (L_2, M_2), ...`` matter:
 Samplers are pure functions of (measure, parameters, seed) built on a
 counter-based generator keyed by the seed, so batches are reproducible.
 Every Monte Carlo route draws its atom paths through :func:`path_chunks`.
-Each index is one ``Generator.random`` uniform in row-major order, searched
-in the normalised cumulative weights: the rule ``Generator.choice`` applies,
-so every draw equals its draw and the chunking never changes one.  Draws and
-path sums go through buffers of about ``_BLOCK_ELEMS`` elements.
+Each atom index is one ``Generator.random`` uniform, in row-major order,
+located in the normalised cumulative weights.  That is the rule
+``Generator.choice`` applies, so the indices equal its indices and the
+chunking never changes a draw.  The uniforms and the path sums run through
+buffers of ``_BLOCK_ELEMS`` elements, so memory does not grow with the count.
 
 The exact path laws walk the paths through :func:`state_walk`, which merges
 equal states; the spectral series terms group them by scale exponents.
@@ -80,7 +81,9 @@ def path_chunks(measure: RandomAffineMeasure, depth: int, count: int, rng: np.ra
     )
 
 
-def _draw_indices(weights: np.ndarray, shape: tuple[int, int], rng: np.random.Generator):
+def _draw_indices(
+    weights: np.ndarray, shape: tuple[int, int], rng: np.random.Generator
+) -> np.ndarray:
     """Atom indices of ``shape`` by inverse transform, as ``Generator.choice``
     draws them: one uniform ``u`` per index in row-major order, and the index
     is the count of ``cdf = cumsum(weights) / cumsum(weights)[-1]`` entries at
@@ -99,9 +102,9 @@ def _draw_indices(weights: np.ndarray, shape: tuple[int, int], rng: np.random.Ge
             seg = flat[start:start + len(u)]
             if len(weights) > _COMPARE_ATOMS:
                 seg[...] = np.searchsorted(cdf, u, side="right")
-                continue
-            for c in cdf[:-1]:  # cdf[-1] is 1 > u
-                seg += np.greater_equal(u, c, out=below[:len(u)])
+            else:
+                for c in cdf[:-1]:  # cdf[-1] is 1 > u
+                    seg += np.greater_equal(u, c, out=below[:len(u)])
     return idx
 
 
