@@ -47,9 +47,6 @@ DRAW_BUDGET = 2**28
 #: Elements per sampler buffer: uniforms, gathered indices and path-sum rows.
 _BLOCK_ELEMS = 65_536
 
-#: Most atoms whose index draw compares a uniform with every cumulative weight.
-_COMPARE_ATOMS = 64
-
 
 def generator(seed: int) -> np.random.Generator:
     """Counter-based generator: Philox keyed by ``seed``."""
@@ -87,9 +84,8 @@ def _draw_indices(
     """Atom indices of ``shape`` by inverse transform, as ``Generator.choice``
     draws them: one uniform ``u`` per index in row-major order, and the index
     is the count of ``cdf = cumsum(weights) / cumsum(weights)[-1]`` entries at
-    most ``u`` (``searchsorted(side="right")``).  Up to ``_COMPARE_ATOMS``
-    atoms that count is taken by comparisons, which are cheaper than the
-    binary search.  The uniforms go through one buffer of ``_BLOCK_ELEMS``."""
+    most ``u`` (``searchsorted(side="right")``), taken by comparisons.  The
+    uniforms go through one buffer of ``_BLOCK_ELEMS``."""
     idx = np.zeros(shape, dtype=np.min_scalar_type(len(weights) - 1))
     if len(weights) > 1:
         cdf = np.cumsum(weights)
@@ -100,48 +96,20 @@ def _draw_indices(
         for start in range(0, flat.size, len(buf)):
             u = rng.random(out=buf[:flat.size - start])
             seg = flat[start:start + len(u)]
-            if len(weights) > _COMPARE_ATOMS:
-                seg[...] = np.searchsorted(cdf, u, side="right")
-            else:
-                for c in cdf[:-1]:  # cdf[-1] is 1 > u
-                    seg += np.greater_equal(u, c, out=below[:len(u)])
+            for c in cdf[:-1]:  # cdf[-1] is 1 > u
+                seg += np.greater_equal(u, c, out=below[:len(u)])
     return idx
 
 
-def _path_sums(measure, idx, out, last=None, backward=False):
-    """Write the row sums of the forward terms ``M_k / (L_1...L_k)`` of index
-    rows ``idx`` into ``out``, and the products ``L_1...L_n`` into ``last``;
-    with ``backward``, the sums of ``-M_i L_1...L_{i-1}``.
-
-    Rows go in blocks of about ``_BLOCK_ELEMS`` elements through two reused
-    row-major float64 buffers, so each row is summed in numpy's pairwise
-    order: the bytes of ``(ms[idx] / np.cumprod(ls[idx], axis=1)).sum(axis=1)``
-    and of its backward twin.  A forward product past the float range is
-    ``inf`` and its term 0, without a warning.
-    """
-    ls, ms = measure.scales, measure.shifts
+def _row_blocks(idx: np.ndarray):
+    """Row slices of ``idx`` of about ``_BLOCK_ELEMS`` elements, each with the
+    same two row-major float64 buffers cut to its shape."""
     count, depth = idx.shape
     step = max(1, _BLOCK_ELEMS // depth)
-    prods, terms = np.empty((2, min(step, count), depth))
+    bufs = np.empty((2, min(step, count), depth))
     for start in range(0, count, step):
-        block = idx[start:start + step]
-        p, t = prods[:len(block)], terms[:len(block)]
-        if backward:
-            _gather(ls, block, t)
-            p[:, 0] = 1.0
-            np.cumprod(t[:, :-1], axis=1, out=p[:, 1:])
-            _gather(ms, block, t)
-            t *= p
-            out[start:start + len(block)] = -t.sum(axis=1)
-        else:
-            _gather(ls, block, p)
-            with np.errstate(over="ignore"):
-                np.cumprod(p, axis=1, out=p)
-            _gather(ms, block, t)
-            t /= p
-            out[start:start + len(block)] = t.sum(axis=1)
-            if last is not None:
-                last[start:start + len(block)] = p[:, -1]
+        n = min(step, count - start)
+        yield slice(start, start + n), bufs[0, :n], bufs[1, :n]
 
 
 def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
@@ -155,32 +123,57 @@ def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
 
 
 def forward_paths(measure: RandomAffineMeasure, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward sums ``sum_k M_k / (L_1...L_k)`` and products ``L_1...L_n`` of index rows."""
+    """Forward sums ``sum_k M_k / (L_1...L_k)`` and products ``L_1...L_n`` of index rows.
+
+    Each row is summed in numpy's pairwise order, so the sums are the bytes of
+    ``(ms[idx] / np.cumprod(ls[idx], axis=1)).sum(axis=1)``.  A product past
+    the float range is ``inf`` and its term 0, without a warning."""
     sums, last = np.empty((2, len(idx)))
-    _path_sums(measure, idx, sums, last)
+    for rows, prods, terms in _row_blocks(idx):
+        _gather(measure.scales, idx[rows], prods)
+        with np.errstate(over="ignore"):
+            np.cumprod(prods, axis=1, out=prods)
+        _gather(measure.shifts, idx[rows], terms)
+        terms /= prods
+        sums[rows] = terms.sum(axis=1)
+        last[rows] = prods[:, -1]
     return sums, last
-
-
-def _draw(measure, depth, count, rng_seed, backward):
-    chunks = path_chunks(measure, depth, count, generator(rng_seed))
-    out = np.empty(count)
-    for rows, idx in chunks:
-        _path_sums(measure, idx, out[rows], backward=backward)
-    return out
 
 
 def draw_forward(
     measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int
 ) -> np.ndarray:
     """``count`` draws of the depth-truncated forward series."""
-    return _draw(measure, depth, count, rng_seed, backward=False)
+    chunks = path_chunks(measure, depth, count, generator(rng_seed))
+    out = np.empty(count)
+    for rows, idx in chunks:
+        out[rows] = forward_paths(measure, idx)[0]
+    return out
+
+
+def _backward_sums(measure: RandomAffineMeasure, idx: np.ndarray) -> np.ndarray:
+    """Backward sums ``-sum_i M_i L_1...L_{i-1}`` of index rows, each row
+    summed in numpy's pairwise order like ``-(ms[idx] * prods).sum(axis=1)``."""
+    sums = np.empty(len(idx))
+    for rows, prods, terms in _row_blocks(idx):
+        _gather(measure.scales, idx[rows], terms)
+        prods[:, 0] = 1.0
+        np.cumprod(terms[:, :-1], axis=1, out=prods[:, 1:])
+        _gather(measure.shifts, idx[rows], terms)
+        terms *= prods
+        sums[rows] = -terms.sum(axis=1)
+    return sums
 
 
 def draw_backward(
     measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int
 ) -> np.ndarray:
     """``count`` draws of the depth-n backward iterate Z_n."""
-    return _draw(measure, depth, count, rng_seed, backward=True)
+    chunks = path_chunks(measure, depth, count, generator(rng_seed))
+    out = np.empty(count)
+    for rows, idx in chunks:
+        out[rows] = _backward_sums(measure, idx)
+    return out
 
 
 def sample_forward_series(
