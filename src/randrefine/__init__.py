@@ -29,14 +29,12 @@ _EXPORTS = {
     ),
     "gridfn": ("GridFn", "symmetric_grid"),
     "measure": (
-        "Moments", "RandomAffineMeasure", "Regime", "RegimeReport", "build_measure",
-        "check_no_common_fixed_point", "classify_regime", "compute_moments",
-        "measure_from_json",
+        "RandomAffineMeasure", "Regime", "RegimeReport", "build_measure",
+        "check_no_common_fixed_point", "classify_regime", "measure_from_json",
     ),
     "perpetuity": (
         "PathLaw", "PerpetuityEstimate", "check_cdf_integral_identity", "draw_backward",
         "draw_forward", "enumerate_paths", "estimate_cdf", "estimate_charfn",
-        "forward_truncation_depth", "sample_backward_iterate", "sample_forward_series",
     ),
     "picard": (
         "PicardResult", "cdf_equation_residual", "differentiate",
@@ -44,12 +42,11 @@ _EXPORTS = {
     ),
     "spectrum": (
         "EXACT", "ExactStrategy", "MonteCarloStrategy", "Spectrum", "TruncationReport",
-        "forward_charfn_product", "invert_spectrum", "series_term", "series_term_mc",
-        "solve_spectrum", "sum_series", "sum_series_grid",
+        "forward_charfn_product", "invert_spectrum", "solve_spectrum", "sum_series_grid",
     ),
     "verify": (
         "ResidualReport", "example_family", "finite_depth_residual", "mirror_about",
-        "probe_grid", "residual_fourier", "residual_time",
+        "residual_time",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

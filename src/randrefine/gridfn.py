@@ -52,6 +52,29 @@ def affine_step(xs: np.ndarray) -> float | None:
     return dx if np.all(drift <= 4 * np.spacing(xs[-1])) else None
 
 
+def linspace_index(p: np.ndarray, t0: float, t1: float, n: int) -> np.ndarray | None:
+    """Indices of the intervals of ``np.linspace(t0, t1, n)`` holding the
+    finite points ``p``, each off by at most one, or None when that bound
+    does not hold.
+
+    The index is arithmetic: ``trunc((p - t0) / h)`` clipped to
+    ``[0, n - 2]``, with ``h = (t1 - t0) / (n - 1)``.  With ``u = 2**-53``
+    and ``T = max|t0|, |t1|``, a linspace node ``fl(fl(k h) + t0)`` lies
+    within ``7.1 u T`` of ``t0 + k H`` (``H`` the exact spacing), so the true
+    index lies in ``(s - 1 - 7.1 u T / H, s + 7.1 u T / H]`` for
+    ``s = (p - t0) / H``; the computed quotient is within ``4.01 u n`` of
+    ``s``.  When ``8 eps (T / h + n) < 1`` both slacks sum below 1, and the
+    two integers differ by at most 1.  Finer grids, whose spacing nears the
+    rounding of their own coordinates, get None.
+    """
+    h = (t1 - t0) / (n - 1)
+    if not 8 * np.finfo(float).eps * (max(abs(t0), abs(t1)) / h + n) < 1:
+        return None
+    with np.errstate(over="ignore"):  # a point far outside clips to an end
+        q = (p - t0) / h
+    return np.clip(q, 0, n - 2, out=q).astype(np.intp)
+
+
 def symmetric_grid(x_max: float, points: int) -> np.ndarray:
     """Uniform grid on [-x_max, x_max] with exact mirror pairs and a 0 node."""
     if points % 2 == 0:
@@ -97,25 +120,20 @@ class GridFn:
 
         ``np.interp`` reads only the nodes around each probe and the ends,
         so for fewer than n/32 finite probes only those are built, as
-        linspace builds them: ``k * step + t_min``, and ``t_max`` last.  An
-        index estimate is off by less than one node when
-        ``8 eps (max(|t_min|, |t_max|) / step + n) < 1``, so the nodes from
-        one before to two after it hold the probe's bracket."""
+        linspace builds them: ``k * step + t_min``, and ``t_max`` last.
+        Where :func:`linspace_index` is off by at most one node, the nodes
+        from one before to two after it hold the probe's bracket."""
         t = np.asarray(t, dtype=float)
         n = len(self.values)
-        span = self.t_max - self.t_min
-        reach = max(abs(self.t_min), abs(self.t_max)) * (n - 1) / span + n
-        few = 32 * t.size < n and 8 * np.finfo(float).eps * reach < 1
-        if few and np.all(np.isfinite(t)):
-            with np.errstate(over="ignore"):  # a probe far outside clips to an end
-                est = (t.ravel() - self.t_min) / span * (n - 1)
-            j = np.clip(est, 0, n - 1).astype(np.intp)
+        few = 32 * t.size < n and np.all(np.isfinite(t))
+        j = linspace_index(t.ravel(), self.t_min, self.t_max, n) if few else None
+        if j is not None:
             near = np.zeros(n, dtype=bool)
             near[[0, -1]] = True
             for d in (-1, 0, 1, 2):
                 near[np.clip(j + d, 0, n - 1)] = True
             keep = np.flatnonzero(near)
-            nodes = keep * (span / (n - 1)) + self.t_min
+            nodes = keep * ((self.t_max - self.t_min) / (n - 1)) + self.t_min
             nodes[-1] = self.t_max
             values = self.values[keep]
         else:  # also at NaN, where np.interp's answer depends on where its search ends

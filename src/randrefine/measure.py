@@ -110,32 +110,8 @@ def measure_from_json(text: str) -> RandomAffineMeasure:
 
 
 # ---------------------------------------------------------------------------
-# moments and conditions
+# conditions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Moments:
-    """Exact atom-weighted moments used by the regime conditions."""
-
-    mean_log_scale: float                  # E log|L|
-    mean_scale: float                      # E L
-    mean_log_plus_shift: float             # E log max(|M|, 1)
-    mean_log_plus_shift_over_scale: float  # E log max(|M/L|, 1)
-
-
-def compute_moments(measure: RandomAffineMeasure) -> Moments:
-    ls = measure.scales
-    ms = measure.shifts
-    ps = measure.weights
-    return Moments(
-        mean_log_scale=float(np.dot(ps, np.log(np.abs(ls)))),
-        mean_scale=float(np.dot(ps, ls)),
-        mean_log_plus_shift=float(np.dot(ps, np.log(np.maximum(np.abs(ms), 1.0)))),
-        mean_log_plus_shift_over_scale=float(
-            np.dot(ps, np.log(np.maximum(np.abs(ms / ls), 1.0)))
-        ),
-    )
-
 
 def _witness_matches(measure: RandomAffineMeasure, c: float) -> bool:
     """Does m == c*(1 - l) hold on every atom, to machine precision?"""
@@ -200,10 +176,10 @@ def _log_moment_exactly_zero(measure: RandomAffineMeasure) -> bool:
 class RegimeReport:
     """Moments, condition flags and the regime verdict for one measure."""
 
-    mean_log_scale: float
-    mean_scale: float
-    mean_log_plus_shift: float
-    mean_log_plus_shift_over_scale: float
+    mean_log_scale: float                  # E log|L|
+    mean_scale: float                      # E L
+    mean_log_plus_shift: float             # E log max(|M|, 1)
+    mean_log_plus_shift_over_scale: float  # E log max(|M/L|, 1)
     shift_degenerate: bool           # every shift is exactly 0
     no_common_fixed_point: bool
     degeneracy_witness: float | None
@@ -239,14 +215,16 @@ def classify_regime(measure: RandomAffineMeasure) -> RegimeReport:
     contractive, zero critical.  Zero is detected symbolically when the
     scales allow it, otherwise within :data:`REGIME_TOL`.
     """
-    mom = compute_moments(measure)
+    ls, ms, ps = measure.scales, measure.shifts, measure.weights
+    mean_log_scale = float(np.dot(ps, np.log(np.abs(ls))))
+    mean_scale = float(np.dot(ps, ls))
     no_cfp, witness = check_no_common_fixed_point(measure)
-    scales_positive = bool(np.all(measure.scales > 0.0))
-    shift_degenerate = bool(np.all(measure.shifts == 0.0))
+    scales_positive = bool(np.all(ls > 0.0))
+    shift_degenerate = bool(np.all(ms == 0.0))
 
-    if _log_moment_exactly_zero(measure) or abs(mom.mean_log_scale) <= REGIME_TOL:
+    if _log_moment_exactly_zero(measure) or abs(mean_log_scale) <= REGIME_TOL:
         regime = Regime.CRITICAL
-    elif mom.mean_log_scale > 0.0:
+    elif mean_log_scale > 0.0:
         regime = Regime.LOG_EXPANSIVE
     else:
         regime = Regime.LOG_CONTRACTIVE
@@ -257,14 +235,16 @@ def classify_regime(measure: RandomAffineMeasure) -> RegimeReport:
     forward_ok = regime is Regime.LOG_EXPANSIVE and no_cfp
 
     return RegimeReport(
-        mean_log_scale=mom.mean_log_scale,
-        mean_scale=mom.mean_scale,
-        mean_log_plus_shift=mom.mean_log_plus_shift,
-        mean_log_plus_shift_over_scale=mom.mean_log_plus_shift_over_scale,
+        mean_log_scale=mean_log_scale,
+        mean_scale=mean_scale,
+        mean_log_plus_shift=float(np.dot(ps, np.log(np.maximum(np.abs(ms), 1.0)))),
+        mean_log_plus_shift_over_scale=float(
+            np.dot(ps, np.log(np.maximum(np.abs(ms / ls), 1.0)))
+        ),
         shift_degenerate=shift_degenerate,
         no_common_fixed_point=no_cfp,
         degeneracy_witness=witness,
-        mean_contractive=mom.mean_scale < 1.0 and scales_positive,
+        mean_contractive=mean_scale < 1.0 and scales_positive,
         scales_positive=scales_positive,
         regime=regime,
         forward_series_condition=forward_ok,

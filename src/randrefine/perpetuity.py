@@ -176,20 +176,6 @@ def draw_backward(
     return out
 
 
-def sample_forward_series(
-    measure: RandomAffineMeasure, depth: int, rng_seed: int
-) -> float:
-    """One draw of ``sum_{k<=depth} M_k / (L_1 ... L_k)``."""
-    return float(draw_forward(measure, depth, 1, rng_seed)[0])
-
-
-def sample_backward_iterate(
-    measure: RandomAffineMeasure, depth: int, rng_seed: int
-) -> float:
-    """One draw of ``Z_depth = -sum_i M_i * (L_1 ... L_{i-1})``."""
-    return float(draw_backward(measure, depth, 1, rng_seed)[0])
-
-
 def forward_truncation_depth(measure: RandomAffineMeasure) -> int:
     """Depth at which the forward tail is below 1e-14, capped at 500.
 
@@ -241,7 +227,10 @@ class PathLaw:
             raise ValueError("path probabilities must sum to 1")
 
     def cdf(self, t) -> np.ndarray:
+        """P(sum <= t); ``ValueError`` at NaN."""
         t = np.asarray(t, dtype=float)
+        if np.any(np.isnan(t)):
+            raise ValueError("cdf is undefined at NaN")
         cum = np.cumsum(self.probs)
         idx = np.searchsorted(self.values, t, side="right")
         out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .closedform import ClosedFormFn
 from .errors import NegativeScale, NotMeanContractive
-from .gridfn import GridFn, grid_size
+from .gridfn import GridFn, grid_size, linspace_index
 from .measure import RandomAffineMeasure, classify_regime
 
 
@@ -232,38 +232,24 @@ def _interp_plan(nodes: np.ndarray, l: float, m: float):
     right end read ``v[-1]``, and point ``a + k`` lies ``off[k]`` past node
     ``j[k]``, inside its interval.
 
-    The nodes are ``np.linspace``'s, so the interval index is arithmetic:
-    ``trunc((p - t0) / h)``, then one step up or down against the nodes.
-    One step is enough.  With ``u = 2**-53`` and ``T = max|t0|, |t1|``, a
-    linspace node ``fl(fl(k h) + t0)`` lies within ``7.1 u T`` of
-    ``t0 + k H`` (``H`` the exact spacing), so the true index lies in
-    ``(s - 1 - 7.1 u T / H, s + 7.1 u T / H]`` for ``s = (p - t0) / H``;
-    the computed quotient is within ``4.01 u n`` of ``s``.  When
-    ``8 eps (T / h + n) < 1`` both slacks sum below 1, and the two integers
-    differ by at most 1.  Finer grids, whose spacing nears the rounding of
-    their own coordinates, take ``np.searchsorted``.
+    :func:`randrefine.gridfn.linspace_index` places each point at most one
+    interval off, and one step up or down against the nodes settles it.
+    Grids too fine for that bound take ``np.searchsorted``.
     """
     n = len(nodes)
     pts = l * nodes - m
     a = int(np.searchsorted(pts, nodes[0], side="left"))
     b = int(np.searchsorted(pts, nodes[-1], side="left"))
-    t0, t1 = float(nodes[0]), float(nodes[-1])
-    h = (t1 - t0) / (n - 1)
-    arithmetic = 8 * np.finfo(float).eps * (max(abs(t0), abs(t1)) / h + n) < 1
     j, off = np.empty(b - a, np.int32), np.empty(b - a)
-    q, jj = np.empty(_BLOCK), np.empty(_BLOCK, np.intp)
     for s in range(a, b, _BLOCK):
         e = min(s + _BLOCK, b)
-        pb, qb, jb = pts[s:e], q[:e - s], jj[:e - s]
-        if arithmetic:
-            np.subtract(pb, t0, out=qb)
-            qb /= h
-            np.copyto(jb, qb, casting="unsafe")  # truncates; qb >= 0
-            np.minimum(jb, n - 2, out=jb)
+        pb = pts[s:e]
+        jb = linspace_index(pb, nodes[0], nodes[-1], n)
+        if jb is None:
+            jb = np.searchsorted(nodes, pb, side="right") - 1
+        else:
             jb += nodes[jb + 1] <= pb
             jb -= nodes[jb] > pb
-        else:
-            np.subtract(np.searchsorted(nodes, pb, side="right"), 1, out=jb)
         j[s - a:e - a] = jb
         np.subtract(pb, nodes[jb], out=off[s - a:e - a])
     return a, b, j, off

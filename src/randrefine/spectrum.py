@@ -26,9 +26,10 @@ solver refuses it; the verifier still works there.
 Exact evaluation of T_n has one source, :func:`exact_terms`.  It groups
 the paths by how often each distinct scale was drawn, which is exact since
 the next phase increment depends on a path only through its scale product;
-one scale makes one group.  Monte Carlo sampling mirrors it for
-cross-validation.  Every route yields T_n depth by depth to one summation
-loop, on |x| only: for real g, T_n[g](-x) = conj(T_n[g](x)).
+one scale makes one group.  The Monte Carlo route, :func:`_terms_mc`,
+estimates the same averages from drawn paths.  Every route yields T_n
+depth by depth to one summation loop, on |x| only: for real g,
+T_n[g](-x) = conj(T_n[g](x)).
 
 Past the first depths of an expansive Monte Carlo series, ``ghat`` is read
 only at small arguments ``|x / P_n| <= y0``, where its Taylor series about
@@ -63,9 +64,7 @@ from .errors import (
 )
 from .gridfn import GridFn, affine_step, half_grid
 from .measure import RandomAffineMeasure, Regime, RegimeReport, classify_regime
-from .perpetuity import (
-    CHUNK_ELEMS, ENUMERATION_CAP, estimate_charfn, forward_paths, generator, path_chunks,
-)
+from .perpetuity import CHUNK_ELEMS, ENUMERATION_CAP, estimate_charfn, generator, path_chunks
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class Spectrum:
 
     def value_at(self, x: float) -> complex:
         idx = int(np.argmin(np.abs(self.x_grid - x)))
-        if abs(self.x_grid[idx] - x) > 1e-12 * max(1.0, abs(x)):
+        if not math.isfinite(x) or abs(self.x_grid[idx] - x) > 1e-12 * max(1.0, abs(x)):
             raise ValueError(f"{x} is not a grid frequency")
         return complex(self.values[idx])
 
@@ -123,13 +122,6 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 # path-average terms
 # ---------------------------------------------------------------------------
-
-def _finite_frequencies(x_grid) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("frequencies must be finite")
-    return xs
-
 
 def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
     """Per depth n = 1, 2, ...: the products ``P_c`` and phase averages
@@ -177,48 +169,6 @@ def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray):
                 out += phi * hk
             return out
         yield term
-
-
-def series_term(
-    measure: RandomAffineMeasure,
-    h: ClosedFormFn,
-    x: float,
-    n: int,
-) -> complex:
-    """The exact depth-n path average T_n[h](x); :func:`series_term_mc`
-    estimates it by sampling.  A non-finite ``x`` raises ``ValueError``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    terms = exact_terms(measure, _finite_frequencies(float(x)))
-    return complex(next(itertools.islice(terms, n - 1, None))(h)[0])
-
-
-def series_term_mc(
-    measure: RandomAffineMeasure,
-    h: ClosedFormFn,
-    x: float,
-    n: int,
-    sample_count: int,
-    seed: int = 0,
-) -> tuple[complex, float]:
-    """Monte Carlo estimate of T_n[h](x) with its standard error.
-
-    ``hhat`` is evaluated once per distinct scale product and gathered to
-    the paths, so the estimate is byte-identical to one evaluation per path.
-    A non-finite ``x`` raises ``ValueError``.
-    """
-    if sample_count < 1:
-        raise ValueError(f"sample count must be >= 1, got {sample_count}")
-    _finite_frequencies(x)
-    chunks = path_chunks(measure, n, sample_count, generator(seed))
-    sums, prods = np.empty((2, sample_count))
-    for rows, idx in chunks:
-        sums[rows], prods[rows] = forward_paths(measure, idx)
-    u, inv = np.unique(prods, return_inverse=True)
-    vals = np.exp(1j * x * sums) * h.fourier(x / u)[inv]
-    est = complex(vals.mean())
-    stderr = math.sqrt((vals.real.var() + vals.imag.var()) / sample_count)
-    return est, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -385,34 +335,23 @@ def sum_series_grid(
     first term, so stopping early changes how many depths are computed,
     never an estimate.
 
-    Raises ``ValueError`` for a non-finite frequency, ``n_max < 1``, or an
-    ``eps`` that is not finite and ``>= 0``.
+    Raises :class:`CriticalRegime` for a critical measure, where the
+    series is undefined, and ``ValueError`` for a non-finite frequency,
+    ``n_max < 1``, or an ``eps`` that is not finite and ``>= 0``.
     """
+    if classify_regime(measure).regime is Regime.CRITICAL:
+        raise CriticalRegime("series summation is undefined in the critical regime")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    xs = _finite_frequencies(x_grid)
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("frequencies must be finite")
     half, mirror = half_grid(xs)
     terms = _terms(measure, g, half, strategy, n_max)
     total, report = _sum_terms(terms, len(half), eps, n_max)
     return mirror(total), report
-
-
-def sum_series(
-    measure: RandomAffineMeasure,
-    g: ClosedFormFn,
-    x: float,
-    strategy: Strategy = EXACT,
-    eps: float = 1e-10,
-    n_max: int = 60,
-) -> tuple[complex, TruncationReport]:
-    """Scalar convenience wrapper around :func:`sum_series_grid`."""
-    report = classify_regime(measure)
-    if report.regime is Regime.CRITICAL:
-        raise CriticalRegime("series summation is undefined in the critical regime")
-    values, trunc = sum_series_grid(measure, g, [x], strategy, eps, n_max)
-    return complex(values[0]), trunc
 
 
 # ---------------------------------------------------------------------------

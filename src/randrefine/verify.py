@@ -6,9 +6,9 @@ pointwise residual
     r(x) = f(x) - sum_i p_i |l_i| f(l_i x - m_i) - g(x)
 
 vanishes almost everywhere.  The checks here evaluate r on probe grids
-(time domain), its transform-side twin (frequency domain), and the exact
-finite-depth series identity that interpolates between the two.  All three
-agree on closed-form pairs to float precision.
+(time domain), and the exact finite-depth series identity on the transform
+side (frequency domain), whose depth 1 is the transform of r.  Both agree
+on closed-form pairs to float precision.
 
 Probe grids are uniform with an irrational sub-step offset: half-open
 indicators break their identities *at* jump points (a measure-zero set),
@@ -54,7 +54,7 @@ class ResidualReport:
         }
 
 
-def probe_grid(measure: RandomAffineMeasure | None, *fns: ClosedFormFn) -> np.ndarray:
+def _probe_grid(measure: RandomAffineMeasure, *fns: ClosedFormFn) -> np.ndarray:
     """4001 uniform offset probes covering the supports and their map preimages."""
     lo = math.inf
     hi = -math.inf
@@ -64,11 +64,10 @@ def probe_grid(measure: RandomAffineMeasure | None, *fns: ClosedFormFn) -> np.nd
             lo, hi = min(lo, a), max(hi, b)
     if not math.isfinite(lo):
         lo, hi = -1.0, 1.0
-    if measure is not None:
-        base_lo, base_hi = lo, hi
-        for l, m, _ in measure.atoms:
-            a, b = sorted(((base_lo + m) / l, (base_hi + m) / l))
-            lo, hi = min(lo, a), max(hi, b)
+    base_lo, base_hi = lo, hi
+    for l, m, _ in measure.atoms:
+        a, b = sorted(((base_lo + m) / l, (base_hi + m) / l))
+        lo, hi = min(lo, a), max(hi, b)
     pad = 0.05 * (hi - lo) + 1e-3
     lo, hi = lo - pad, hi + pad
     step = (hi - lo) / 4001
@@ -101,32 +100,21 @@ def residual_time(
     f: Candidate,
     g: ClosedFormFn,
 ) -> ResidualReport:
-    """Pointwise residual of the refinement identity on :func:`probe_grid`
-    over the supports of g, and of f when it is a closed form.
+    """Pointwise residual of the refinement identity on 4001 offset probes
+    over the supports of g, of f when it is a closed form, and their
+    preimages under the maps.
 
     Reports the trapezoid L1 norm and the sup over probes, together with a
     tolerance budget (float noise for closed forms, plus an interpolation
     term for grid candidates).
     """
-    xs = probe_grid(measure, f, g) if isinstance(f, ClosedFormFn) else probe_grid(measure, g)
+    xs = _probe_grid(measure, f, g) if isinstance(f, ClosedFormFn) else _probe_grid(measure, g)
     r = np.asarray(f(xs), dtype=float) - g(xs)
     for l, m, p in measure.atoms:
         r = r - p * abs(l) * np.asarray(f(l * xs - m), dtype=float)
     sup = float(np.max(np.abs(r)))
     l1 = float(np.trapezoid(np.abs(r), xs))
     return ResidualReport(l1, sup, _tolerance_budget(measure, f, g))
-
-
-def residual_fourier(
-    measure: RandomAffineMeasure,
-    f: ClosedFormFn,
-    g: ClosedFormFn,
-    x_probes,
-) -> float:
-    """Sup over probes of the transform-side residual
-    |fhat(x) - sum_i p_i exp(i x m_i/l_i) fhat(x/l_i) - ghat(x)|, the depth-1
-    case of :func:`finite_depth_residual`."""
-    return finite_depth_residual(measure, f, g, 1, x_probes)
 
 
 def finite_depth_residual(
@@ -140,8 +128,10 @@ def finite_depth_residual(
 
         fhat(x) = T_N[f](x) + sum_{n<N} T_n[g](x) + ghat(x),
 
-    which holds for every N exactly when f solves the identity (depth 1 is
-    the plain transform-side residual).  One exact walk serves all probes."""
+    which holds for every N exactly when f solves the identity.  Depth 1 is
+    the transform-side residual
+    ``|fhat(x) - sum_i p_i exp(i x m_i/l_i) fhat(x/l_i) - ghat(x)|``.  One
+    exact walk serves all probes."""
     from .spectrum import exact_terms
 
     if depth < 1:

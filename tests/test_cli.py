@@ -431,7 +431,7 @@ class TestLazyImports:
         assert not {f"randrefine.{name}" for name in absent} & set(modules)
 
     def test_public_names_are_their_submodules_objects(self):
-        assert len(rr.__all__) == len(set(rr.__all__)) == 75
+        assert len(rr.__all__) == len(set(rr.__all__)) == 65
         for name in rr.__all__:
             module = importlib.import_module(f"randrefine.{rr._MODULE_OF[name]}")
             assert getattr(rr, name) is getattr(module, name), name

@@ -77,21 +77,21 @@ class TestBuildMeasure:
 class TestMoments:
     def test_reflection_measure_log_zero(self):
         m = rr.build_measure([(-1, 0, 0.5), (1, 0, 0.5)])
-        assert rr.compute_moments(m).mean_log_scale == 0.0
+        assert rr.classify_regime(m).mean_log_scale == 0.0
 
     def test_deterministic_doubling(self):
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
-        assert rr.compute_moments(m).mean_log_scale == pytest.approx(math.log(2), abs=1e-15)
+        assert rr.classify_regime(m).mean_log_scale == pytest.approx(math.log(2), abs=1e-15)
 
     def test_halving(self):
         m = rr.build_measure([(0.5, 0, 0.5), (0.5, 1, 0.5)])
-        mom = rr.compute_moments(m)
+        mom = rr.classify_regime(m)
         assert mom.mean_scale == 0.5
         assert mom.mean_log_scale == pytest.approx(-math.log(2), abs=1e-15)
 
     def test_unit_modulus_scales_exactly_zero(self):
         m = rr.build_measure([(-1, 2, 0.25), (1, 5, 0.75)])
-        assert rr.compute_moments(m).mean_log_scale == 0.0
+        assert rr.classify_regime(m).mean_log_scale == 0.0
 
 
 class TestNoCommonFixedPoint:

@@ -70,7 +70,8 @@ EXPANSIVE = [(2.0, -1.0, 0.5), (2.0, 1.0, 0.5)]  # the CLI session's kind: one s
 
 
 def _enumerate_paths_oracle(measure, depth, which):
-    """Reference oracle: the raw walk over all ``k**depth`` atom paths."""
+    """Reference oracle: the raw walk over all ``k**depth`` atom paths, and
+    the number of paths merged into each support point."""
     ls, ms, ps = measure.scales, measure.shifts, measure.weights
     sums = np.zeros(1)
     prods = np.ones(1)
@@ -84,14 +85,18 @@ def _enumerate_paths_oracle(measure, depth, which):
             prods_next = np.multiply.outer(prods, ls).ravel()
         prods = prods_next
         weights = np.multiply.outer(weights, ps).ravel()
-    return rr.PathLaw(sums, weights, depth)
+    return rr.PathLaw(sums, weights, depth), np.unique(sums, return_counts=True)[1]
 
 
 def assert_same_law(measure, depth, which):
     law = rr.enumerate_paths(measure, depth, which)
-    oracle = _enumerate_paths_oracle(measure, depth, which)
+    oracle, merged = _enumerate_paths_oracle(measure, depth, which)
     assert law.values.tobytes() == oracle.values.tobytes()
-    assert np.max(np.abs(law.probs - oracle.probs)) <= 1e-15
+    # Both sides add the weights of the paths merged into a point, and multiply
+    # them along the path, in different orders: the two sums round apart by
+    # up to about (paths + depth) eps of the probability.
+    bound = (merged + depth) * np.finfo(float).eps * oracle.probs
+    assert np.all(np.abs(law.probs - oracle.probs) <= bound)
 
 
 def ks_distance(samples, cdf):
@@ -107,11 +112,11 @@ def ks_distance(samples, cdf):
 class TestSamplers:
     def test_single_atom_backward_is_deterministic(self):
         m = rr.build_measure([(0.5, 1, 1.0)])
-        assert rr.sample_backward_iterate(m, 3, 0) == -1.75
+        assert rr.draw_backward(m, 3, 1, 0)[0] == -1.75
 
     def test_single_atom_forward_partial_sum(self):
         m = rr.build_measure([(2, 1, 1.0)])
-        assert rr.sample_forward_series(m, 3, 0) == 0.875
+        assert rr.draw_forward(m, 3, 1, 0)[0] == 0.875
 
     def test_zero_shift_draws_are_exactly_zero(self):
         m = rr.build_measure([(2, 0, 0.25), (3, 0, 0.75)])
@@ -359,6 +364,15 @@ class TestEnumeratePaths:
             next(walk)
         with pytest.raises(rr.EnumerationTooLarge):
             rr.enumerate_paths(m, 4, "backward")
+
+    def test_cdf_refuses_nan_and_saturates_at_infinity(self):
+        law = rr.enumerate_paths(rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)]), 3, "forward")
+        with pytest.raises(ValueError, match="NaN"):
+            law.cdf(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            law.cdf([0.0, math.nan])
+        assert law.cdf(math.inf) == 1.0
+        assert law.cdf(-math.inf) == 0.0
 
     def test_forward_backward_reversal_scaling(self):
         # constant scale lam: the forward law equals the backward law
@@ -613,14 +627,14 @@ class TestCdfIntegralIdentity:
 class TestDepthRule:
     def test_geometric_bound(self):
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
-        depth = rr.forward_truncation_depth(m)
+        depth = pp.forward_truncation_depth(m)
         assert 2.0 ** -depth <= 1e-14
         assert depth <= 60
 
     def test_zero_shift_short_circuit(self):
         m = rr.build_measure([(2, 0, 1.0)])
-        assert rr.forward_truncation_depth(m) == 1
+        assert pp.forward_truncation_depth(m) == 1
 
     def test_mixed_scales_capped(self):
         m = rr.build_measure([(2, 1, 0.5), (0.5, 1, 0.25), (8, 0, 0.25)])
-        assert rr.forward_truncation_depth(m) == 500
+        assert pp.forward_truncation_depth(m) == 500

@@ -107,6 +107,27 @@ class TestGridFn:
         assert fn(probes).tobytes() == oracle.tobytes()
 
 
+class TestLinspaceIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(t0=st.floats(-1e3, 1e3), width_exp=st.floats(-3.0, 3.0), n=st.integers(2, 3000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_within_one_interval(self, t0, width_exp, n, seed):
+        nodes = np.linspace(t0, t0 + 10.0 ** width_exp, n)
+        assume(nodes[0] < nodes[-1])
+        rng = np.random.default_rng(seed)
+        p = np.concatenate([rng.uniform(nodes[0], nodes[-1], 50), nodes[rng.integers(0, n, 20)]])
+        j = gridfn.linspace_index(p, nodes[0], nodes[-1], n)
+        true = np.minimum(np.searchsorted(nodes, p, side="right") - 1, n - 2)
+        assert j.dtype == np.intp and np.all(np.abs(j - true) <= 1)
+
+    def test_points_outside_clip_to_the_end_intervals(self):
+        j = gridfn.linspace_index(np.array([-1e308, -5.0, 5.0, 1e308]), -1.0, 1.0, 11)
+        assert j.tolist() == [0, 0, 9, 9]
+
+    def test_grid_finer_than_its_rounding_gets_none(self):
+        assert gridfn.linspace_index(np.array([1e15]), 1e15, 1e15 + 1.0, 1001) is None
+
+
 class TestDifferentiate:
     def test_recovers_gaussian_from_its_integral(self):
         f = rr.gaussian(0, 1)

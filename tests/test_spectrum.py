@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import randrefine as rr
 from randrefine.perpetuity import CHUNK_ELEMS, generator, state_walk
+from randrefine.spectrum import _terms_mc, exact_terms
 
 
 def _inverse_direct(values_w, xs, ts):
@@ -58,8 +60,15 @@ def _series_grid_mc_upfront(measure, g, xs, eps, n_max, sample_count, seed):
     return total, rr.TruncationReport(terms_used, last_max, False)
 
 
+def series_term(measure, h, x, n):
+    """The exact depth-n path average T_n[h](x), read off :func:`exact_terms`."""
+    terms = exact_terms(measure, np.array([float(x)]))
+    return complex(next(itertools.islice(terms, n - 1, None))(h)[0])
+
+
 def _series_term_mc_single_draw(measure, h, x, n, sample_count, seed):
-    """Reference oracle: T_n[h](x) from one unchunked index draw."""
+    """Reference oracle: T_n[h](x) and its standard error from one
+    unchunked index draw."""
     rng = generator(seed)
     ls, ms = measure.scales, measure.shifts
     idx = rng.choice(len(ls), size=(sample_count, n), p=measure.weights)
@@ -197,12 +206,12 @@ class TestSeriesTerm:
         for n in (1, 2, 5, 9):
             for x in (0.3, 1.0, 2.7, -4.0):
                 expected = single_atom_term(2.0, 1.0, g.fourier, x, n)
-                assert rr.series_term(m, g, x, n) == pytest.approx(expected, abs=1e-13)
+                assert series_term(m, g, x, n) == pytest.approx(expected, abs=1e-13)
 
     def test_zero_frequency_vanishes_for_admissible_g(self):
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
         g = rr.indicator(0, 1) - rr.indicator(1, 2)
-        assert abs(rr.series_term(m, g, 0.0, 3)) <= 1e-14
+        assert abs(series_term(m, g, 0.0, 3)) <= 1e-14
 
     def test_two_paths_hand_expansion(self):
         # depth 1, two atoms: 0.5*ghat(x/2) + 0.5*exp(ix/2)*ghat(x/2)
@@ -210,7 +219,7 @@ class TestSeriesTerm:
         g = rr.indicator(0, 1) - rr.indicator(1, 2)
         x = math.pi
         expected = 0.5 * g.fourier(x / 2) + 0.5 * cmath.exp(1j * x / 2) * g.fourier(x / 2)
-        assert rr.series_term(m, g, x, 1) == pytest.approx(expected, abs=1e-14)
+        assert series_term(m, g, x, 1) == pytest.approx(expected, abs=1e-14)
 
     def test_state_walk_matches_brute_paths(self):
         # mixed scales: compare the merged state walk against a literal
@@ -227,69 +236,47 @@ class TestSeriesTerm:
                 phase += mm / prod
                 w *= p
             brute += w * cmath.exp(1j * x * phase) * g.fourier(x / prod)
-        assert rr.series_term(m, g, x, n) == pytest.approx(brute, abs=1e-12)
+        assert series_term(m, g, x, n) == pytest.approx(brute, abs=1e-12)
 
     def test_monte_carlo_agrees_with_exact(self):
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
         g = rr.indicator(0, 1) - rr.indicator(1, 2)
-        exact = rr.series_term(m, g, 3.14, 6)
-        est, stderr = rr.series_term_mc(m, g, 3.14, 6, 200_000, seed=5)
-        assert abs(est - exact) <= 4 * stderr + 1e-4
-
-    @pytest.mark.parametrize("x, n, count", [
-        (1.7, 1, 1), (-2.5, 7, 3000), (0.0, 8, 3000), (3.1, 30, 3000),
-        (1.7, 200, 20_001),  # three chunks, the last of one row
-    ])
-    def test_monte_carlo_matches_single_draw_oracle_bytes(self, x, n, count):
-        m = rr.build_measure([(2.0, 0.5, 0.5), (3.0, -1.0, 0.3), (-4.0, 1.5, 0.2)])
-        g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
-        est, stderr = rr.series_term_mc(m, g, x, n, count, seed=8)
-        oracle, oracle_stderr = _series_term_mc_single_draw(m, g, x, n, count, 8)
-        assert np.array([est, stderr]).tobytes() == np.array([oracle, oracle_stderr]).tobytes()
-
-    @pytest.mark.parametrize("n, count", [(0, 100), (-1, 100), (3, 0), (3, -2)])
-    def test_monte_carlo_rejects_bad_depth_or_count(self, n, count):
-        m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
-        g = rr.indicator(0, 1) - rr.indicator(1, 2)
-        with pytest.raises(ValueError, match="depth|sample count"):
-            rr.series_term_mc(m, g, 1.0, n, count)
+        exact = series_term(m, g, 3.14, 6)
+        *_, est = _terms_mc(m, g, np.array([3.14]), 6, 200_000, 5)
+        _, stderr = _series_term_mc_single_draw(m, g, 3.14, 6, 200_000, 5)
+        assert abs(est[0] - exact) <= 4 * stderr + 1e-4
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_nonfinite_frequency_refused(self, x):
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
         g = rr.indicator(0, 1) - rr.indicator(1, 2)
         with pytest.raises(ValueError, match="frequencies must be finite"):
-            rr.series_term(m, g, x, 2)
+            rr.sum_series_grid(m, g, [x], n_max=2)
         with pytest.raises(ValueError, match="frequencies must be finite"):
-            rr.series_term_mc(m, g, x, 2, 100)
-
-    def test_monte_carlo_evaluates_hhat_once_per_distinct_product(self):
-        m = rr.build_measure(ROUND_APART)
-        g = CountingFourier(rr.gaussian(0, 1) - rr.gaussian(1, 1))
-        rr.series_term_mc(m, g, 1.7, 40, 500, seed=3)
-        prods = np.cumprod(m.scales[_draw(m, 40, 500, 3)], axis=1)[:, -1]
-        assert g.shapes == [(len(np.unique(prods)),)]
+            rr.sum_series_grid(m, g, [x], rr.MonteCarloStrategy(100), n_max=2)
 
 
 class TestSumSeries:
     def test_telescopes_to_solution_transform(self, contractive_pair):
         measure, f, g = contractive_pair
         for x in (0.3, 1.0, 2.7):
-            total, report = rr.sum_series(measure, g, x)
+            values, report = rr.sum_series_grid(measure, g, [x])
+            total = values[0]
             assert report.converged
             expected = f.fourier(x) - g.fourier(x)
             assert total == pytest.approx(expected, abs=1e-12)
 
     def test_zero_frequency_sum_is_zero(self, contractive_pair):
         measure, _, g = contractive_pair
-        total, _ = rr.sum_series(measure, g, 0.0)
+        total = rr.sum_series_grid(measure, g, [0.0])[0][0]
         assert abs(total) <= 1e-13
 
     def test_single_atom_partial_sums_match_closed_form(self):
         m = rr.build_measure([(2, 1, 1.0)])
         g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
         x = 1.0
-        total, report = rr.sum_series(m, g, x)
+        values, report = rr.sum_series_grid(m, g, [x])
+        total = values[0]
         manual = sum(single_atom_term(2.0, 1.0, g.fourier, x, n)
                      for n in range(1, report.terms_used + 1))
         assert total == pytest.approx(manual, abs=1e-13)
@@ -297,7 +284,7 @@ class TestSumSeries:
     def test_critical_regime_refused(self):
         m = rr.build_measure([(-1, 0, 0.5), (1, 0, 0.5)])
         with pytest.raises(rr.CriticalRegime):
-            rr.sum_series(m, rr.triangle(0, 1) - rr.triangle(1, 1), 1.0)
+            rr.sum_series_grid(m, rr.triangle(0, 1) - rr.triangle(1, 1), [1.0])
 
     def test_non_convergence_reported_not_raised(self, expansive_pair):
         measure, _, g = expansive_pair
@@ -488,7 +475,7 @@ class TestHalfGrid:
         values, report = rr.sum_series_grid(measure, g, grid, strategy, eps=0.0, n_max=14)
         assert report.terms_used == 14
         for x, v in zip(grid, values):
-            point, _ = rr.sum_series(measure, g, x, strategy, eps=0.0, n_max=14)
+            point = rr.sum_series_grid(measure, g, [x], strategy, eps=0.0, n_max=14)[0][0]
             assert abs(v - point) <= 1e-13
 
 
@@ -729,6 +716,15 @@ class TestSolveSpectrum:
         spec = rr.solve_spectrum(measure, g, 2.0, rr.symmetric_grid(10.0, 65))
         assert spec.value_at(0.0) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_value_at_refuses_nonfinite(self, x):
+        # on the README measure, argmin once picked the first node for these
+        measure = rr.build_measure([(0.5, 1.0, 1.0)])
+        g = rr.gaussian(0, 1) - rr.gaussian(3, 1)
+        spec = rr.solve_spectrum(measure, g, 0.0, rr.symmetric_grid(10.0, 65))
+        with pytest.raises(ValueError, match="not a grid frequency"):
+            spec.value_at(x)
+
     def test_shared_fixed_point_needs_override(self):
         # single atom (2, -1): every map fixes -1, the forward limit is the
         # constant -1, and the sufficient convergence condition fails
@@ -854,7 +850,7 @@ class TestResidualEquivalence:
         measure, f, g = contractive_pair
         xs = [0.3, 1.0, 2.7, 5.0]
         assert rr.residual_time(measure, f, g).sup_residual <= 1e-10
-        assert rr.residual_fourier(measure, f, g, xs) <= 1e-8
+        assert rr.finite_depth_residual(measure, f, g, 1, xs) <= 1e-8
         broken = f + rr.gaussian(5, 1)
         assert rr.residual_time(measure, broken, g).sup_residual > 1e-3
-        assert rr.residual_fourier(measure, broken, g, xs) > 1e-3
+        assert rr.finite_depth_residual(measure, broken, g, 1, xs) > 1e-3

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 import randrefine as rr
-from test_spectrum import CountingFourier
+from test_spectrum import CountingFourier, series_term
 
 
 def _finite_depth_residual_oracle(measure, f, g, depth, x_probes):
     """Reference oracle: one exact ``series_term`` walk per probe and depth."""
     worst = 0.0
     for x in np.atleast_1d(np.asarray(x_probes, dtype=float)):
-        rhs = rr.series_term(measure, f, float(x), depth)
+        rhs = series_term(measure, f, float(x), depth)
         for n in range(1, depth):
-            rhs += rr.series_term(measure, g, float(x), n)
+            rhs += series_term(measure, g, float(x), n)
         rhs += g.fourier(float(x))
         worst = max(worst, abs(f.fourier(float(x)) - rhs))
     return worst
@@ -68,15 +68,15 @@ class TestResidualTime:
 class TestResidualFourier:
     def test_manufactured_pair(self, contractive_pair):
         measure, f, g = contractive_pair
-        assert rr.residual_fourier(measure, f, g, [0.3, 1.0, 2.7]) <= 1e-12
+        assert rr.finite_depth_residual(measure, f, g, 1, [0.3, 1.0, 2.7]) <= 1e-12
 
     def test_origin_probe_always_zero(self, contractive_pair):
         measure, f, g = contractive_pair
-        assert rr.residual_fourier(measure, f, g, [0.0]) <= 1e-15
+        assert rr.finite_depth_residual(measure, f, g, 1, [0.0]) <= 1e-15
 
     def test_expansive_manufactured_pair(self, expansive_pair):
         measure, f, g = expansive_pair
-        assert rr.residual_fourier(measure, f, g, np.linspace(-5, 5, 41)) <= 1e-12
+        assert rr.finite_depth_residual(measure, f, g, 1, np.linspace(-5, 5, 41)) <= 1e-12
 
 
     @pytest.mark.parametrize("pair", ["contractive_pair", "expansive_pair", "walk_pair"])
@@ -84,7 +84,7 @@ class TestResidualFourier:
         measure, f, g = request.getfixturevalue(pair)
         xs = [-2.9, -0.37, 0.0, 0.3, 1.0, 2.7, 7.5]
         for cand in (f, f + rr.gaussian(1, 0.5)):
-            assert rr.residual_fourier(measure, cand, g, xs) == pytest.approx(
+            assert rr.finite_depth_residual(measure, cand, g, 1, xs) == pytest.approx(
                 _residual_fourier_oracle(measure, cand, g, xs), abs=1e-14
             )
 
@@ -94,7 +94,7 @@ class TestFiniteDepthResidual:
         measure, f, g = contractive_pair
         xs = [0.3, 1.0, 2.7]
         a = rr.finite_depth_residual(measure, f, g, 1, xs)
-        b = rr.residual_fourier(measure, f, g, xs)
+        b = _residual_fourier_oracle(measure, f, g, xs)
         assert a == pytest.approx(b, abs=1e-14)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
