@@ -6,8 +6,9 @@ JSON with ``--format json``) files with a provenance comment, plus JSON
 verdicts on stdout.  Identical config + seed + flags give byte-identical
 outputs.
 
-Exit codes: 0 ok, 1 parse error, 2 invalid measure, 3 critical regime,
-4 inadmissible forcing term, 5 numeric failure.
+Exit codes: 0 ok, 1 parse error (a usage error, a bad config value, an
+unreadable input or an unwritable output), 2 invalid measure, 3 critical
+regime, 4 inadmissible forcing term, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,11 +32,6 @@ from .errors import (
 from .gridfn import MAX_GRID_NODES, GridFn, grid_size, symmetric_grid
 from .measure import Regime, classify_regime, measure_from_json
 
-# Each subcommand imports the solver modules it uses in its handler, so a
-# process loads (and, without a bytecode cache, compiles) only those.
-if TYPE_CHECKING:
-    from .closedform import ClosedFormFn
-
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID_MEASURE = 2
@@ -45,8 +40,8 @@ EXIT_BAD_FORCING = 4
 EXIT_NUMERIC = 5
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A config entry or flag the CLI cannot use; exits 1 like any ``ValueError``."""
 
 
 def _load_config(path: str) -> tuple[dict, str]:
@@ -72,24 +67,14 @@ def _value(section: dict, key: str, default, kind=float):
         raise ConfigError(f"invalid {key!r} entry: {exc}") from exc
 
 
-def _measure_from(cfg: dict):
-    if "measure" not in cfg:
-        raise ConfigError("config lacks a 'measure' entry")
+def _entry(cfg: dict, key: str, from_json):
+    """``from_json`` of the JSON text of ``cfg[key]``."""
+    if key not in cfg:
+        raise ConfigError(f"config lacks a {key!r} entry")
     try:
-        return measure_from_json(json.dumps(cfg["measure"]))
+        return from_json(json.dumps(cfg[key]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'measure' entry: {exc!r}") from exc
-
-
-def _forcing_from(cfg: dict) -> ClosedFormFn:
-    from .closedform import fn_from_json
-
-    if "g" not in cfg:
-        raise ConfigError("config lacks a 'g' entry")
-    try:
-        return fn_from_json(json.dumps(cfg["g"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'g' entry: {exc!r}") from exc
+        raise ConfigError(f"invalid {key!r} entry: {exc!r}") from exc
 
 
 def _seed(cfg: dict, args) -> int:
@@ -144,10 +129,7 @@ def _strategy(solver: dict, args, seed: int):
         return EXACT
     if name == "mc":
         samples = _value(solver, "samples", 100_000, int) if args.samples is None else args.samples
-        try:
-            return MonteCarloStrategy(sample_count=samples, seed=seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return MonteCarloStrategy(sample_count=samples, seed=seed)
     raise ConfigError(f"unknown strategy {name!r}")
 
 
@@ -175,24 +157,26 @@ def _t_grid(section: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the solver modules it uses in its handler, so a
+# process loads (and, without a bytecode cache, compiles) only those.
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
     cfg, _ = _load_config(args.config)
-    measure = _measure_from(cfg)
+    measure = _entry(cfg, "measure", measure_from_json)
     report = classify_regime(measure)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
     return EXIT_CRITICAL if report.regime is Regime.CRITICAL else EXIT_OK
 
 
 def cmd_solve(args) -> int:
+    from .closedform import fn_from_json
     from .spectrum import invert_spectrum, solve_spectrum
     from .verify import residual_time
 
     cfg, config_hash = _load_config(args.config)
-    measure = _measure_from(cfg)
-    g = _forcing_from(cfg)
+    measure = _entry(cfg, "measure", measure_from_json)
+    g = _entry(cfg, "g", fn_from_json)
     seed = _seed(cfg, args)
     solver = cfg.get("solver", {})
     report = classify_regime(measure)
@@ -206,11 +190,8 @@ def cmd_solve(args) -> int:
     xs = _x_grid(grid, 40.0, 4097)
     ts = _t_grid(grid)
     strategy = _strategy(solver, args, seed)
-    try:
-        spec = solve_spectrum(measure, g, mass, xs, strategy=strategy,
-                              eps=eps, n_max=n_max, regime_report=report)
-    except ValueError as exc:  # an out-of-range eps or n_max, or a draw over the budget
-        raise ConfigError(str(exc)) from exc
+    spec = solve_spectrum(measure, g, mass, xs, strategy=strategy,
+                          eps=eps, n_max=n_max, regime_report=report)
     recovered = invert_spectrum(spec, ts)
 
     prov = _provenance(config_hash, seed)
@@ -228,11 +209,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_iterate(args) -> int:
+    from .closedform import fn_from_json
     from .picard import differentiate, picard_iterate
 
     cfg, config_hash = _load_config(args.config)
-    measure = _measure_from(cfg)
-    g = _forcing_from(cfg)
+    measure = _entry(cfg, "measure", measure_from_json)
+    g = _entry(cfg, "g", fn_from_json)
     seed = _seed(cfg, args)
     it = cfg.get("iterate", {})
     window = tuple(args.window) if args.window else _value(it, "window", (-10.0, 10.0), _window)
@@ -240,10 +222,7 @@ def cmd_iterate(args) -> int:
     tol = args.tol if args.tol is not None else _value(it, "tol", 1e-9)
     max_iter = args.max_iter if args.max_iter is not None else _value(it, "max_iter", 500, int)
 
-    try:
-        result = picard_iterate(measure, g, window, step, tol, max_iter)
-    except ValueError as exc:  # a window, step, tol or max_iter out of range
-        raise ConfigError(str(exc)) from exc
+    result = picard_iterate(measure, g, window, step, tol, max_iter)
     deriv = differentiate(result.cdf)
 
     prov = _provenance(config_hash, seed)
@@ -265,8 +244,6 @@ def _load_solution(path: str):
     from .closedform import fn_from_json
 
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"solution file {path} does not exist")
     if p.suffix == ".json":
         try:
             return fn_from_json(p.read_text(encoding="utf-8"))
@@ -300,11 +277,12 @@ def _load_solution(path: str):
 
 
 def cmd_verify(args) -> int:
+    from .closedform import fn_from_json
     from .verify import residual_time
 
     cfg, _ = _load_config(args.config)
-    measure = _measure_from(cfg)
-    g = _forcing_from(cfg)
+    measure = _entry(cfg, "measure", measure_from_json)
+    g = _entry(cfg, "g", fn_from_json)
     candidate = _load_solution(args.solution)
     report = residual_time(measure, candidate, g)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
@@ -315,7 +293,7 @@ def cmd_perpetuity(args) -> int:
     from .perpetuity import estimate_cdf, estimate_charfn
 
     cfg, config_hash = _load_config(args.config)
-    measure = _measure_from(cfg)
+    measure = _entry(cfg, "measure", measure_from_json)
     seed = _seed(cfg, args)
     pcfg = cfg.get("perpetuity", {})
     what = args.what or _value(pcfg, "what", "auto", str)
@@ -327,41 +305,44 @@ def cmd_perpetuity(args) -> int:
 
     prov = _provenance(config_hash, seed)
     out = Path(args.out_dir)
-    try:
-        if what == "charfn":
-            xs = _x_grid(pcfg, 10.0, 201)
-            est = estimate_charfn(measure, xs, samples, depth=depth, rng_seed=seed)
-            _write_table(out, "charfn", ["x", "re", "im", "stderr"],
-                         [est.charfn_x, est.charfn_values.real,
-                          est.charfn_values.imag, est.charfn_stderr],
-                         prov, args.format)
-        elif what == "cdf":
-            t_min = _value(pcfg, "t_min", -10.0)
-            t_max = _value(pcfg, "t_max", 10.0)
-            if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max):
-                raise ConfigError("'t_min' and 't_max' must be finite with t_min < t_max, "
-                                  f"got {t_min!r} and {t_max!r}")
-            points = _value(pcfg, "t_points", 2001, int)
-            if not 2 <= points <= MAX_GRID_NODES:
-                raise ConfigError(
-                    f"'t_points' must be between 2 and {MAX_GRID_NODES}, got {points}"
-                )
-            ts = np.linspace(t_min, t_max, points)
-            est = estimate_cdf(measure, ts, samples, depth=depth, rng_seed=seed)
-            _write_table(out, "perpetuity_cdf", ["t", "phi"],
-                         [est.cdf_t, est.cdf_values], prov, args.format)
-        else:
-            raise ConfigError(f"unknown perpetuity output {what!r}")
-    except ValueError as exc:  # a sample count, depth or grid size out of range
-        raise ConfigError(str(exc)) from exc
+    if what == "charfn":
+        xs = _x_grid(pcfg, 10.0, 201)
+        est = estimate_charfn(measure, xs, samples, depth=depth, rng_seed=seed)
+        _write_table(out, "charfn", ["x", "re", "im", "stderr"],
+                     [est.charfn_x, est.charfn_values.real,
+                      est.charfn_values.imag, est.charfn_stderr],
+                     prov, args.format)
+    elif what == "cdf":
+        t_min = _value(pcfg, "t_min", -10.0)
+        t_max = _value(pcfg, "t_max", 10.0)
+        if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max):
+            raise ConfigError("'t_min' and 't_max' must be finite with t_min < t_max, "
+                              f"got {t_min!r} and {t_max!r}")
+        points = _value(pcfg, "t_points", 2001, int)
+        if not 2 <= points <= MAX_GRID_NODES:
+            raise ConfigError(f"'t_points' must be between 2 and {MAX_GRID_NODES}, got {points}")
+        ts = np.linspace(t_min, t_max, points)
+        est = estimate_cdf(measure, ts, samples, depth=depth, rng_seed=seed)
+        _write_table(out, "perpetuity_cdf", ["t", "phi"],
+                     [est.cdf_t, est.cdf_values], prov, args.format)
+    else:
+        raise ConfigError(f"unknown perpetuity output {what!r}")
     print(json.dumps({"samples": samples, "depth": est.depth}, sort_keys=True))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the parse-error code, with argparse's message."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randrefine",
         description="Solve, simulate and verify refinement identities "
                     "with random affine maps.",
@@ -369,44 +350,39 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary, writes=True):
+        """A subcommand on a config; one that ``writes`` tables takes three more options."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("config", help="JSON problem description")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", default=".")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if writes:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--out-dir", default=".")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("classify", help="regime report as JSON")
-    common(p)
-    p.set_defaults(handler=cmd_classify)
+    command("classify", cmd_classify, "regime report as JSON", writes=False)
 
-    p = sub.add_parser("solve", help="spectral solve + inversion")
-    common(p)
+    p = command("solve", cmd_solve, "spectral solve + inversion")
     p.add_argument("--mass", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--strategy", choices=("exact", "mc"), default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(handler=cmd_solve)
 
-    p = sub.add_parser("iterate", help="CDF-level fixed-point iteration")
-    common(p)
+    p = command("iterate", cmd_iterate, "CDF-level fixed-point iteration")
     p.add_argument("--window", type=float, nargs=2, default=None)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
-    p.set_defaults(handler=cmd_iterate)
 
-    p = sub.add_parser("verify", help="residual verdict for a candidate solution")
-    common(p)
+    p = command("verify", cmd_verify, "residual verdict for a candidate solution", writes=False)
     p.add_argument("solution", help="candidate: .json closed form or .csv t,f grid")
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("perpetuity", help="Monte Carlo charfn / limit CDF")
-    common(p)
+    p = command("perpetuity", cmd_perpetuity, "Monte Carlo charfn / limit CDF")
     p.add_argument("--what", choices=("charfn", "cdf", "auto"), default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
-    p.set_defaults(handler=cmd_perpetuity)
 
     return parser
 
@@ -415,9 +391,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except InvalidMeasure as exc:
         print(f"invalid measure: {exc}", file=sys.stderr)
         return EXIT_INVALID_MEASURE
@@ -430,6 +403,10 @@ def main(argv=None) -> int:
     except RandRefineError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # After the RandRefineError clauses, so an error that is both keeps its own code.
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

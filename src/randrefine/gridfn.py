@@ -34,6 +34,21 @@ def grid_size(t_min: float, t_max: float, step: float) -> int:
     return n
 
 
+def finite_points(points, name: str, dtype=float) -> np.ndarray:
+    """``points`` (a scalar counts as one point) as a 1-D array of ``dtype``.
+
+    The one input rule for point arrays: raises ``ValueError`` naming
+    ``name`` unless the array is 1-D and every entry is finite.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=dtype))
+    if pts.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        i = int(np.flatnonzero(~np.isfinite(pts))[0])
+        raise ValueError(f"{name} must be finite, got {pts[i].item()!r} at index {i}")
+    return pts
+
+
 def half_grid(xs: np.ndarray):
     """The distinct |x| of ``xs``, and ``mirror`` taking values on them back
     to ``xs``, conjugated at x < 0 as a real function's transform is."""

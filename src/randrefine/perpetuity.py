@@ -32,7 +32,7 @@ import numpy as np
 
 from .closedform import ClosedFormFn
 from .errors import EnumerationTooLarge, RegimeMismatch, WindowTooSmall
-from .gridfn import affine_step, half_grid
+from .gridfn import affine_step, finite_points, half_grid
 from .measure import RandomAffineMeasure, Regime, classify_regime
 
 #: Most walk states times atoms, or scale groups times frequencies, per exact depth.
@@ -122,13 +122,13 @@ def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
         np.take(values, src[seg], out=dst[seg], mode="clip")
 
 
-def forward_paths(measure: RandomAffineMeasure, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward sums ``sum_k M_k / (L_1...L_k)`` and products ``L_1...L_n`` of index rows.
+def _forward_sums(measure: RandomAffineMeasure, idx: np.ndarray) -> np.ndarray:
+    """Forward sums ``sum_k M_k / (L_1...L_k)`` of index rows.
 
     Each row is summed in numpy's pairwise order, so the sums are the bytes of
     ``(ms[idx] / np.cumprod(ls[idx], axis=1)).sum(axis=1)``.  A product past
     the float range is ``inf`` and its term 0, without a warning."""
-    sums, last = np.empty((2, len(idx)))
+    sums = np.empty(len(idx))
     for rows, prods, terms in _row_blocks(idx):
         _gather(measure.scales, idx[rows], prods)
         with np.errstate(over="ignore"):
@@ -136,8 +136,7 @@ def forward_paths(measure: RandomAffineMeasure, idx: np.ndarray) -> tuple[np.nda
         _gather(measure.shifts, idx[rows], terms)
         terms /= prods
         sums[rows] = terms.sum(axis=1)
-        last[rows] = prods[:, -1]
-    return sums, last
+    return sums
 
 
 def draw_forward(
@@ -147,7 +146,7 @@ def draw_forward(
     chunks = path_chunks(measure, depth, count, generator(rng_seed))
     out = np.empty(count)
     for rows, idx in chunks:
-        out[rows] = forward_paths(measure, idx)[0]
+        out[rows] = _forward_sums(measure, idx)
     return out
 
 
@@ -227,11 +226,14 @@ class PathLaw:
             raise ValueError("path probabilities must sum to 1")
 
     def cdf(self, t) -> np.ndarray:
-        """P(sum <= t); ``ValueError`` at NaN."""
+        """P(sum <= t); ``ValueError`` at NaN.  The running sum of the
+        probabilities is capped at 1 and is exactly 1 from the largest
+        support point on, whatever its rounding."""
         t = np.asarray(t, dtype=float)
         if np.any(np.isnan(t)):
             raise ValueError("cdf is undefined at NaN")
-        cum = np.cumsum(self.probs)
+        cum = np.minimum(np.cumsum(self.probs), 1.0)
+        cum[-1] = 1.0
         idx = np.searchsorted(self.values, t, side="right")
         out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
         return out if out.shape else float(out)
@@ -350,9 +352,7 @@ def estimate_charfn(
             # products would underflow, so the caller must choose
             raise ValueError("explicit depth required with allow_divergent")
         depth = forward_truncation_depth(measure)
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x_grid must hold finite frequencies")
+    xs = finite_points(x_grid, "x_grid")
     z = draw_forward(measure, depth, sample_count, rng_seed)
 
     half, mirror = half_grid(xs)
@@ -405,9 +405,7 @@ def estimate_cdf(
         )
     if depth is None:
         depth = backward_default_depth(report)
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("t_grid must hold finite points")
+    ts = finite_points(t_grid, "t_grid")
     z = np.sort(draw_backward(measure, depth, sample_count, rng_seed))
     cdf = np.searchsorted(z, ts, side="right") / sample_count
     return PerpetuityEstimate(

@@ -48,7 +48,7 @@ import numpy as np
 
 from .closedform import ClosedFormFn
 from .errors import NegativeScale, NotMeanContractive
-from .gridfn import GridFn, grid_size, linspace_index
+from .gridfn import GridFn, finite_points, grid_size, linspace_index
 from .measure import RandomAffineMeasure, classify_regime
 
 
@@ -277,12 +277,11 @@ def cdf_equation_residual(
     g: ClosedFormFn,
     probe_points,
 ) -> float:
-    """Max over probes of |F(x) - sum_i p_i F(l_i x - m_i) - G(x)|."""
-    xs = np.atleast_1d(np.asarray(probe_points, dtype=float))
+    """Max over probes of |F(x) - sum_i p_i F(l_i x - m_i) - G(x)|; the
+    probes must be finite and at least one."""
+    xs = finite_points(probe_points, "probe_points")
     if xs.size == 0:
         raise ValueError("probe_points must not be empty")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("probe_points must be finite")
     acc = cdf(xs) - g.antiderivative(xs)
     for l, m, p in measure.atoms:
         acc = acc - p * cdf(l * xs - m)

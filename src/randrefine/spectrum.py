@@ -62,7 +62,7 @@ from .errors import (
     RegimeMismatch,
     SpectralLeakage,
 )
-from .gridfn import GridFn, affine_step, half_grid
+from .gridfn import GridFn, affine_step, finite_points, half_grid
 from .measure import RandomAffineMeasure, Regime, RegimeReport, classify_regime
 from .perpetuity import CHUNK_ELEMS, ENUMERATION_CAP, estimate_charfn, generator, path_chunks
 
@@ -292,27 +292,6 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
         yield term / sample_count
 
 
-def _terms(measure, h, xs, strategy, n_max):
-    """The path averages T_1[h], T_2[h], ... on ``xs``, one array per depth."""
-    if isinstance(strategy, MonteCarloStrategy):
-        return _terms_mc(measure, h, xs, n_max, strategy.sample_count, strategy.seed)
-    return (term(h) for term in exact_terms(measure, xs))
-
-
-def _sum_terms(terms, size, eps, n_max):
-    total = np.zeros(size, dtype=complex)
-    small_run = 0
-    terms_used = 0
-    last_max = math.inf
-    for terms_used, term in zip(range(1, n_max + 1), terms):
-        total += term
-        last_max = float(np.max(np.abs(term))) if size else 0.0
-        small_run = small_run + 1 if last_max < eps else 0
-        if small_run >= _CONSECUTIVE_SMALL:
-            return total, TruncationReport(terms_used, last_max, True)
-    return total, TruncationReport(terms_used, last_max, False)
-
-
 def sum_series_grid(
     measure: RandomAffineMeasure,
     g: ClosedFormFn,
@@ -341,17 +320,31 @@ def sum_series_grid(
     """
     if classify_regime(measure).regime is Regime.CRITICAL:
         raise CriticalRegime("series summation is undefined in the critical regime")
+    return _sum_series(measure, g, finite_points(x_grid, "x_grid"), strategy, eps, n_max)
+
+
+def _sum_series(measure, g, xs, strategy, eps, n_max):
+    """:func:`sum_series_grid` on the finite ``xs`` of a non-critical measure."""
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("frequencies must be finite")
     half, mirror = half_grid(xs)
-    terms = _terms(measure, g, half, strategy, n_max)
-    total, report = _sum_terms(terms, len(half), eps, n_max)
-    return mirror(total), report
+    if isinstance(strategy, MonteCarloStrategy):
+        terms = _terms_mc(measure, g, half, n_max, strategy.sample_count, strategy.seed)
+    else:
+        terms = (term(g) for term in exact_terms(measure, half))
+    total = np.zeros(len(half), dtype=complex)
+    small_run = 0
+    terms_used = 0
+    last_max = math.inf
+    for terms_used, term in zip(range(1, n_max + 1), terms):
+        total += term
+        last_max = float(np.max(np.abs(term))) if len(half) else 0.0
+        small_run = small_run + 1 if last_max < eps else 0
+        if small_run >= _CONSECUTIVE_SMALL:
+            return mirror(total), TruncationReport(terms_used, last_max, True)
+    return mirror(total), TruncationReport(terms_used, last_max, False)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +358,15 @@ def forward_charfn_product(measure: RandomAffineMeasure, x_grid) -> np.ndarray:
     characteristic function is the product of the shift characteristic
     function along the geometric argument sequence; the tail of the product
     is cut once its deviation from 1 is below 1e-15, and after 2000 factors
-    at most.
+    at most.  A non-finite frequency raises ``ValueError``.
     """
+    xs = finite_points(x_grid, "x_grid")
     scales = np.unique(measure.scales)
     if len(scales) > 1 or abs(scales[0]) <= 1.0:
         raise EnumerationTooLarge(
             "exact forward limit needs a single scale of modulus > 1; "
             "use the Monte Carlo strategy instead"
         )
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     out = np.ones(len(xs), dtype=complex)
     mmax = float(np.max(np.abs(measure.shifts)))
     if mmax == 0.0:
@@ -405,17 +398,18 @@ def solve_spectrum(
     """Assemble the solution transform on ``x_grid`` for the given regime.
 
     ``mass`` is the free value of the transform at 0: it must be finite
-    (``ValueError`` otherwise, before any work) and 0 in the contractive
-    regime (enforced).  In the expansive regime with nonzero shifts the
-    forward-limit factor comes from the exact product when the scale is
-    deterministic (exact strategy) or from Monte Carlo estimation at
-    :func:`estimate_charfn`'s default depth.
+    and 0 in the contractive regime (enforced).  A non-finite mass or
+    frequency raises ``ValueError`` before any work.  In the expansive
+    regime with nonzero shifts the forward-limit factor comes from the
+    exact product when the scale is deterministic (exact strategy) or from
+    Monte Carlo estimation at :func:`estimate_charfn`'s default depth.
 
     Expansive maps with a common fixed point fail the sufficient check for
     the forward series; they are refused unless ``allow_unverified`` is set.
     """
     if not math.isfinite(mass):
         raise ValueError(f"mass must be finite, got {mass!r}")
+    xs = finite_points(x_grid, "x_grid")
     report = regime_report or classify_regime(measure)
     if not zero_mean_check(g):
         raise NonzeroMeanInhomogeneity(
@@ -427,8 +421,7 @@ def solve_spectrum(
             "the solver refuses, the verifier still applies"
         )
 
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    series, trunc = sum_series_grid(measure, g, xs, strategy, eps, n_max)
+    series, trunc = _sum_series(measure, g, xs, strategy, eps, n_max)
     ghat = g.fourier(xs)
 
     if report.regime is Regime.LOG_CONTRACTIVE:
@@ -508,11 +501,12 @@ def invert_spectrum(
 
     The trapezoid sum between the two uniform grids is a chirp-z transform,
     evaluated with FFTs in O((n + m) log(n + m)) for n frequencies and m
-    output nodes.
+    output nodes.  A non-finite frequency, spectrum value or output node
+    raises ``ValueError``.
     """
-    xs = np.asarray(spec.x_grid, dtype=float)
-    vals = np.asarray(spec.values, dtype=complex)
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    xs = finite_points(spec.x_grid, "spec.x_grid")
+    vals = finite_points(spec.values, "spec.values", complex)
+    ts = finite_points(t_grid, "t_grid")
     dx, dt = _check_inversion_grids(xs, ts)
 
     peak = float(np.max(np.abs(vals)))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .closedform import ClosedFormFn, affine_image
 from .errors import SymmetryViolated
-from .gridfn import GridFn
+from .gridfn import GridFn, finite_points
 from .measure import RandomAffineMeasure, build_measure
 
 #: Sub-step offset of probe grids, kept irrational so rational jump points
@@ -131,12 +131,12 @@ def finite_depth_residual(
     which holds for every N exactly when f solves the identity.  Depth 1 is
     the transform-side residual
     ``|fhat(x) - sum_i p_i exp(i x m_i/l_i) fhat(x/l_i) - ghat(x)|``.  One
-    exact walk serves all probes."""
+    exact walk serves all probes; a non-finite probe raises ``ValueError``."""
     from .spectrum import exact_terms
 
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    xs = np.atleast_1d(np.asarray(x_probes, dtype=float))
+    xs = finite_points(x_probes, "x_probes")
     rhs = g.fourier(xs)
     for n, term in enumerate(itertools.islice(exact_terms(measure, xs), depth), 1):
         rhs = rhs + term(f if n == depth else g)

@@ -110,7 +110,8 @@ class TestClassify:
         "huge-t-points", "huge-samples-flag", "huge-mc-depth-flag"])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, entries, flags):
     cfg = write_config(tmp_path, **entries)
-    assert main([command, str(cfg), "--out-dir", str(tmp_path / "out"), *flags]) == 1
+    out = [] if command == "classify" else ["--out-dir", str(tmp_path / "out")]
+    assert main([command, str(cfg), *out, *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -409,6 +410,63 @@ class TestPerpetuity:
         assert read(a) != read(c)
 
 
+class TestErrorPath:
+    """Usage errors and unreadable or unwritable files exit 1 with one line."""
+
+    @staticmethod
+    def assert_one_error_line(err):
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve"], "randrefine solve: error: the following arguments are required: config\n"),
+        (["solve", "{cfg}", "--strategy", "bogus"],
+         "randrefine solve: error: argument --strategy: invalid choice: "),
+        (["classify", "{cfg}", "--seed", "-1"],
+         "randrefine: error: unrecognized arguments: --seed -1\n"),
+    ], ids=["no-config", "unknown-strategy", "classify-negative-seed"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv, message):
+        # argparse's own message, after its usage lines; the code was 2
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(cfg=cfg) for arg in argv])
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: randrefine") and message in err
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--out-dir", "out"], ["--format", "json"]],
+                             ids=["seed", "out-dir", "format"])
+    def test_flags_of_table_writers_refused(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path)
+        sol = tmp_path / "candidate.json"
+        sol.write_text(rr.gaussian(0, 1).to_json(), encoding="utf-8")
+        argv = [command, str(cfg), *([str(sol)] if command == "verify" else []), *flag]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_non_utf8_solution_csv_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        sol = tmp_path / "candidate.csv"
+        sol.write_bytes(b"t,f\n0.0,\xff\n1.0,0.0\n")
+        assert main(["verify", str(cfg), str(sol)]) == 1
+        self.assert_one_error_line(capsys.readouterr().err)
+
+    def test_solution_directory_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["verify", str(cfg), str(tmp_path)]) == 1
+        self.assert_one_error_line(capsys.readouterr().err)
+
+    def test_out_dir_under_a_file_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["solve", str(cfg), "--out-dir", str(cfg / "sub")]) == 1
+        captured = capsys.readouterr()
+        self.assert_one_error_line(captured.err)
+        assert captured.out == ""
+
+
 class TestLazyImports:
     @pytest.mark.parametrize("command, flags, absent", [
         ("classify", [], ["spectrum", "picard", "verify"]),
@@ -421,8 +479,9 @@ class TestLazyImports:
         code = ("import json, sys; from randrefine.cli import main; rc = main(sys.argv[1:]); "
                 "print(json.dumps([rc, sorted(sys.modules)]))")
         src = os.path.dirname(os.path.dirname(rr.__file__))
+        out = [] if command == "classify" else ["--out-dir", str(tmp_path)]
         done = subprocess.run(
-            [sys.executable, "-c", code, command, str(cfg), "--out-dir", str(tmp_path), *flags],
+            [sys.executable, "-c", code, command, str(cfg), *out, *flags],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             check=True, timeout=120,
         )

@@ -374,6 +374,19 @@ class TestEnumeratePaths:
         assert law.cdf(math.inf) == 1.0
         assert law.cdf(-math.inf) == 0.0
 
+    @pytest.mark.parametrize("atoms, depth", [
+        ([(0.5, 0.37 * i, 0.2) for i in range(5)], 3),
+        ([(0.5, 0.37 * i, 1 / 7) for i in range(7)], 5),
+    ], ids=["five-atoms", "seven-atoms"])
+    def test_cdf_is_one_from_the_top_support_point(self, atoms, depth):
+        # the float cumsum of these laws ends at 1 + 4e-16 and 1 - 3.8e-15
+        law = rr.enumerate_paths(rr.build_measure(atoms), depth, "backward")
+        assert law.cdf(math.inf) == 1.0
+        assert law.cdf(law.values[-1]) == 1.0
+        below = law.cdf(law.values[:-1])
+        assert below.tobytes() == np.cumsum(law.probs)[:-1].tobytes()
+        assert np.all(below <= 1.0)
+
     def test_forward_backward_reversal_scaling(self):
         # constant scale lam: the forward law equals the backward law
         # scaled by -lam^(-n) (path reversal)
@@ -588,7 +601,7 @@ class TestCdfEstimate:
     def test_nonfinite_point_refused(self, ts):
         # a NaN point read phi = 1
         m = rr.build_measure([(0.5, 1, 1.0)])
-        with pytest.raises(ValueError, match="t_grid must hold finite"):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
             rr.estimate_cdf(m, ts, 100)
 
     def test_default_depth_rule(self):

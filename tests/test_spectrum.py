@@ -250,9 +250,9 @@ class TestSeriesTerm:
     def test_nonfinite_frequency_refused(self, x):
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
         g = rr.indicator(0, 1) - rr.indicator(1, 2)
-        with pytest.raises(ValueError, match="frequencies must be finite"):
+        with pytest.raises(ValueError, match="x_grid must be finite"):
             rr.sum_series_grid(m, g, [x], n_max=2)
-        with pytest.raises(ValueError, match="frequencies must be finite"):
+        with pytest.raises(ValueError, match="x_grid must be finite"):
             rr.sum_series_grid(m, g, [x], rr.MonteCarloStrategy(100), n_max=2)
 
 
@@ -350,9 +350,9 @@ class TestSumSeries:
         assert values.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"x_grid": [0.5, math.nan]}, "frequencies must be finite"),
-        ({"x_grid": [math.inf]}, "frequencies must be finite"),
-        ({"x_grid": [-math.inf, 1.0]}, "frequencies must be finite"),
+        ({"x_grid": [0.5, math.nan]}, "x_grid must be finite"),
+        ({"x_grid": [math.inf]}, "x_grid must be finite"),
+        ({"x_grid": [-math.inf, 1.0]}, "x_grid must be finite"),
         ({"n_max": 0}, "n_max must be >= 1"),
         ({"n_max": -2}, "n_max must be >= 1"),
         ({"eps": math.nan}, "eps must be finite and >= 0"),
@@ -724,6 +724,18 @@ class TestSolveSpectrum:
         spec = rr.solve_spectrum(measure, g, 0.0, rr.symmetric_grid(10.0, 65))
         with pytest.raises(ValueError, match="not a grid frequency"):
             spec.value_at(x)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["no-report", "report-given"])
+    def test_classifies_at_most_once(self, monkeypatch, contractive_pair, given):
+        # the series used to classify again for its own critical-regime refusal
+        measure, _, g = contractive_pair
+        report = rr.classify_regime(measure)
+        calls = []
+        monkeypatch.setattr(rr.spectrum, "classify_regime",
+                            lambda m: calls.append(m) or report)
+        rr.solve_spectrum(measure, g, 0.0, rr.symmetric_grid(10.0, 33),
+                          regime_report=report if given else None)
+        assert len(calls) == (0 if given else 1)
 
     def test_shared_fixed_point_needs_override(self):
         # single atom (2, -1): every map fixes -1, the forward limit is the
