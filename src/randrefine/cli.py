@@ -244,13 +244,17 @@ def _load_solution(path: str):
     from .closedform import fn_from_json
 
     p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read solution: {exc}") from exc
     if p.suffix == ".json":
         try:
-            return fn_from_json(p.read_text(encoding="utf-8"))
+            return fn_from_json(text)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solution JSON: {exc!r}") from exc
     rows = []
-    for line in p.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -31,6 +31,13 @@ estimates the same averages from drawn paths.  Every route yields T_n
 depth by depth to one summation loop, on |x| only: for real g,
 T_n[g](-x) = conj(T_n[g](x)).
 
+Both routes evaluate each transform and phase once per distinct argument
+and gather the result to the groups or paths that share it, so every term
+keeps the bytes of one evaluation per group or path: ``hhat(xs / P)`` once
+per distinct product P, with a depth's rows copied from the depth before
+where P recurs (only one depth of rows is kept), and on the Monte Carlo
+direct route ``exp(i xs S)`` once per distinct partial sum S.
+
 Past the first depths of an expansive Monte Carlo series, ``ghat`` is read
 only at small arguments ``|x / P_n| <= y0``, where its Taylor series about
 the centre c of g converges fast: ``ghat(y) = exp(i y c) sum_{k<K} a_k y^k``
@@ -123,13 +130,42 @@ class Spectrum:
 # path-average terms
 # ---------------------------------------------------------------------------
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct floats of ``values``, as ``np.unique`` gives them,
+    without its first-call import of ``numpy.ma``."""
+    return np.array(sorted(set(values.tolist())))
+
+
+def _lex_ranks(steps: np.ndarray, depth: int) -> np.ndarray:
+    """Each row's rank among the exponent vectors of sum ``depth`` in
+    ascending lexicographic order, the row order of ``np.unique(axis=0)``.
+
+    Entry k, with ``r`` of the sum left for it and ``m`` entries after it,
+    is preceded by ``C(r + m, m) - C(r - c_k + m, m)`` vectors that agree
+    before k and are smaller at k.  The ranks stay below the group count,
+    so they fit int64 for any number of scales, where a positional code
+    ``sum_k c_k (depth + 1)^k`` overflows from about 40 scales."""
+    d = steps.shape[1]
+    ways = [np.ones(depth + 1, dtype=np.int64)]  # ways[m][r] = C(r + m, m)
+    for _ in range(d - 1):
+        ways.append(np.cumsum(ways[-1]))
+    left = depth - np.cumsum(steps, axis=1) + steps
+    ranks = np.zeros(len(steps), dtype=np.int64)
+    for k in range(d - 1):
+        count = ways[d - 1 - k]
+        ranks += count[left[:, k]] - count[left[:, k] - steps[:, k]]
+    return ranks
+
+
 def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
     """Per depth n = 1, 2, ...: the products ``P_c`` and phase averages
     ``Phi_c = E[exp(i xs S_n); c]`` of the paths grouped by scale exponents c.
     The next increment ``M / (P_c L)`` depends on c only, so ``Phi_{c+e_k}``
     sums ``p_i exp(i m_i xs / P_{c+e_k}) Phi_c`` over the atoms of scale
-    ``s_k``: exact, and one group for one scale.  Depths over the cap are refused."""
-    scales = np.unique(measure.scales)
+    ``s_k``: exact, and one group for one scale.  A step ``c + e_k`` is
+    keyed by its integer rank from :func:`_lex_ranks`, so the groups sort
+    as the exponent rows do.  Depths over the cap are refused."""
+    scales = _distinct(measure.scales)
     shifts = [[(m, p) for l, m, p in measure.atoms if l == s] for s in scales]
     d = len(scales)
     keys, prods, phis = np.zeros((1, d), int), np.ones(1), np.ones((1, len(xs)), complex)
@@ -141,33 +177,56 @@ def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
                 f"cap {ENUMERATION_CAP}; use fewer x_points, a larger eps or --strategy mc")
         # scale-major steps c + e_k: a key's first occurrence is its first contribution
         steps = (keys[None] + np.eye(d, dtype=int)[:, None]).reshape(-1, d)
-        keys, first, target = np.unique(steps, axis=0, return_index=True, return_inverse=True)
+        target = _lex_ranks(steps, depth)
+        first = np.unique(target, return_index=True)[1]
+        keys = steps[first]
         prods = np.multiply.outer(scales, prods).ravel()[first]
         u = xs / prods[:, None]
         new = np.empty((len(keys), len(xs)), dtype=complex)
         for k, t in enumerate(target.reshape(d, -1)):
             factor = np.zeros((len(t), len(xs)), dtype=complex)
+            ut = u[t]
             for m, p in shifts[k]:
-                factor += p * np.exp(1j * m * u[t])
+                factor += p * np.exp(1j * m * ut)
             phase = phis.copy()  # in place: numpy may round out of place differently
             phase *= factor
-            fresh = first[t] == k * len(t) + np.arange(len(t))
-            new[t[fresh]] = phase[fresh]
-            new[t[~fresh]] += phase[~fresh]
+            if k == 0:  # the first scale's steps reach every target first
+                new[t] = phase
+                continue
+            seen = first[t] < k * len(t)  # reached through an earlier scale
+            new[t[~seen]] = phase[~seen]
+            new[t[seen]] += phase[seen]
         phis = new
         yield prods, phis
 
 
 def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray):
     """Per depth n = 1, 2, ...: the map ``h -> T_n[h] = sum_c hhat(xs / P_c)
-    Phi_c`` over the groups of :func:`_lattice`, one ``h.fourier`` call each."""
+    Phi_c`` over the groups of :func:`_lattice`, summed in group order.
+
+    ``hhat(xs / P)`` is evaluated once per distinct product P: a row whose
+    ``h`` and P equal those of the latest term evaluated is copied from it,
+    and the rest come from one ``h.fourier`` call.  Only that latest term's
+    rows are kept, so the memory grows by at most one depth of rows."""
+    latest = None  # (h, distinct products, their hhat rows)
     for prods, phis in _lattice(measure, xs):
-        def term(h, prods=prods, phis=phis):
-            hh = h.fourier(xs / prods[:, None])
-            out = phis[0] * hh[0]
-            for phi, hk in zip(phis[1:], hh[1:]):
-                out += phi * hk
-            return out
+        u, inv = np.unique(prods, return_inverse=True)
+
+        def term(h, u=u, inv=inv, phis=phis):
+            nonlocal latest
+            rows = np.empty((len(u), len(xs)), dtype=complex)
+            new = np.ones(len(u), dtype=bool)
+            if latest is not None and latest[0] is h:
+                _, v, old = latest
+                at = np.minimum(np.searchsorted(v, u), len(v) - 1)
+                new = v[at] != u
+                rows[~new] = old[at[~new]]
+            if new.any():
+                rows[new] = h.fourier(xs / u[new, None])
+            latest = (h, u, rows)
+            # a cumulative sum adds the rows in order for every grid size
+            acc = phis * rows[inv]
+            return np.cumsum(acc, axis=0, out=acc)[-1].copy()
         yield term
 
 
@@ -248,9 +307,10 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
 
     Each depth of each chunk takes one of two routes.
 
-    * Direct: ``hhat`` is evaluated once per distinct product and gathered
-      to the paths: the same floats through the same elementwise ufuncs, so
-      every term is byte-identical to one evaluation per path.
+    * Direct: ``hhat`` is evaluated once per distinct product, and the
+      phase ``exp(i xs S_n)`` once per distinct partial sum, and both are
+      gathered to the paths: the same floats through the same elementwise
+      ufuncs, so every term is byte-identical to one evaluation per path.
     * Moment: when :func:`_moment_plan` has a plan for ``h`` on ``xs`` and
       ``ymax = max|x| / min|P_n| <= _MOMENT_Y0``, the chunk's sum is
       ``sum_k a_k (x / xmax)^k sum_j exp(i x z_j) (xmax / P_j)^k`` with
@@ -284,9 +344,10 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
                     term[xb] += ((_phase_table(xs[xb], z, dx) @ powers) * w[xb]).sum(axis=1)
                 continue
             u, inv = np.unique(p, return_inverse=True)
+            su, sinv = np.unique(s, return_inverse=True)
             for start in range(0, len(xs), xblock):
                 xb = xs[start:start + xblock]
-                phases = np.exp(1j * np.multiply.outer(xb, s))
+                phases = np.take(np.exp(1j * np.multiply.outer(xb, su)), sinv, axis=1)
                 hh = h.fourier(np.multiply.outer(xb, 1.0 / u))[:, inv]
                 term[start:start + len(xb)] += (phases * hh).sum(axis=1)
         yield term / sample_count
@@ -361,7 +422,7 @@ def forward_charfn_product(measure: RandomAffineMeasure, x_grid) -> np.ndarray:
     at most.  A non-finite frequency raises ``ValueError``.
     """
     xs = finite_points(x_grid, "x_grid")
-    scales = np.unique(measure.scales)
+    scales = _distinct(measure.scales)
     if len(scales) > 1 or abs(scales[0]) <= 1.0:
         raise EnumerationTooLarge(
             "exact forward limit needs a single scale of modulus > 1; "

@@ -459,6 +459,21 @@ class TestErrorPath:
         assert main(["verify", str(cfg), str(tmp_path)]) == 1
         self.assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name, content", [
+        ("candidate.csv", b"t,f\n0.0,\xff\n1.0,0.0\n"),
+        ("candidate.json", b'{"terms": [\xff]}'),
+        ("missing.csv", None),
+    ], ids=["non-utf8-csv", "non-utf8-json", "missing"])
+    def test_unreadable_solution_named(self, tmp_path, capsys, name, content):
+        cfg = write_config(tmp_path)
+        sol = tmp_path / name
+        if content is not None:
+            sol.write_bytes(content)
+        assert main(["verify", str(cfg), str(sol)]) == 1
+        err = capsys.readouterr().err
+        self.assert_one_error_line(err)
+        assert err.startswith("error: cannot read solution: ")
+
     def test_out_dir_under_a_file_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["solve", str(cfg), "--out-dir", str(cfg / "sub")]) == 1
@@ -488,6 +503,19 @@ class TestLazyImports:
         rc, modules = json.loads(done.stdout.splitlines()[-1])
         assert rc == 0
         assert not {f"randrefine.{name}" for name in absent} & set(modules)
+
+    def test_solve_does_not_load_numpy_ma(self, tmp_path):
+        # a plain np.unique imports numpy.ma on its first call
+        cfg = write_config(tmp_path)
+        code = ("import json, sys; from randrefine.cli import main; rc = main(sys.argv[1:]); "
+                "print(json.dumps([rc, 'numpy.ma' in sys.modules]))")
+        src = os.path.dirname(os.path.dirname(rr.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "solve", str(cfg), "--out-dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, False]
 
     def test_public_names_are_their_submodules_objects(self):
         assert len(rr.__all__) == len(set(rr.__all__)) == 65

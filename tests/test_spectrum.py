@@ -138,6 +138,67 @@ def _forward_charfn_product_oracle(measure, xs, tol=1e-15, max_factors=2000):
     return out
 
 
+def _lattice_rowwise_oracle(measure, xs):
+    """Reference oracle: the scale-exponent lattice grouped by a row-wise
+    ``np.unique(axis=0)`` of the exponent vectors (the former grouping)."""
+    scales = np.unique(measure.scales)
+    shifts = [[(m, p) for l, m, p in measure.atoms if l == s] for s in scales]
+    d = len(scales)
+    keys, prods, phis = np.zeros((1, d), int), np.ones(1), np.ones((1, len(xs)), complex)
+    while True:
+        steps = (keys[None] + np.eye(d, dtype=int)[:, None]).reshape(-1, d)
+        keys, first, target = np.unique(steps, axis=0, return_index=True, return_inverse=True)
+        prods = np.multiply.outer(scales, prods).ravel()[first]
+        u = xs / prods[:, None]
+        new = np.empty((len(keys), len(xs)), dtype=complex)
+        for k, t in enumerate(target.reshape(d, -1)):
+            factor = np.zeros((len(t), len(xs)), dtype=complex)
+            for m, p in shifts[k]:
+                factor += p * np.exp(1j * m * u[t])
+            phase = phis.copy()
+            phase *= factor
+            fresh = first[t] == k * len(t) + np.arange(len(t))
+            new[t[fresh]] = phase[fresh]
+            new[t[~fresh]] += phase[~fresh]
+        phis = new
+        yield prods, phis
+
+
+def _exact_terms_loop_oracle(measure, xs):
+    """Reference oracle: T_n[h] from the row-wise lattice, one ``hhat`` row
+    per group and the groups added one by one (the former loop)."""
+    for prods, phis in _lattice_rowwise_oracle(measure, xs):
+        def term(h, prods=prods, phis=phis):
+            hh = h.fourier(xs / prods[:, None])
+            out = phis[0] * hh[0]
+            for phi, hk in zip(phis[1:], hh[1:]):
+                out += phi * hk
+            return out
+        yield term
+
+
+def _terms_mc_per_path_oracle(measure, h, xs, n_max, sample_count, seed):
+    """Reference oracle: the Monte Carlo direct route with one phase column
+    per path (the former direct route), chunked and blocked as ``_terms_mc``."""
+    ls, ms = measure.scales, measure.shifts
+    chunks = [(np.ascontiguousarray(idx.T), np.ones(len(idx)), np.zeros(len(idx)))
+              for _, idx in rr.perpetuity.path_chunks(measure, n_max, sample_count,
+                                                      generator(seed))]
+    for n in range(n_max):
+        term = np.zeros(len(xs), dtype=complex)
+        for idx, p, s in chunks:
+            p *= ls[idx[n]]
+            s += ms[idx[n]] / p
+            xblock = max(1, rr.spectrum.CHUNK_ELEMS // len(p))
+            u, inv = np.unique(p, return_inverse=True)
+            for start in range(0, len(xs), xblock):
+                xb = xs[start:start + xblock]
+                phases = np.exp(1j * np.multiply.outer(xb, s))
+                hh = h.fourier(np.multiply.outer(xb, 1.0 / u))[:, inv]
+                term[start:start + len(xb)] += (phases * hh).sum(axis=1)
+        yield term / sample_count
+
+
 class CountingFourier:
     """Forwards ``fourier`` to a closed form, counts the calls and records
     each argument's shape; every other attribute (the moments the Monte
@@ -583,6 +644,133 @@ def test_lattice_matches_walk_oracle_generated(atoms, depth):
     total = sum(w for _, _, w in atoms)
     measure = rr.build_measure([(l, m, w / total) for l, m, w in atoms])
     assert_lattice_matches_walk(measure, np.array([-4.1, 0.0, 0.6, 1.9, 6.3]), depth)
+
+
+# Scales that are powers of one another: products recur across depths and
+# collide across groups; 2 and 4 are expansive, -0.5 flips signs.
+POWER_SCALES = [0.5, 0.25, 0.125, 0.75, 2.0, 4.0, -0.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # one scale per atom: a repeated scale is shared by several atoms
+    scales=st.lists(st.sampled_from(POWER_SCALES), min_size=1, max_size=4),
+    shifts=st.lists(st.one_of(st.just(0.0), st.sampled_from([-1.0, 0.5, 1.5]),
+                              st.floats(-2.0, 2.0)), min_size=4, max_size=4),
+    weights=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    points=st.sampled_from([1, 2, 41]),
+    x_max=st.floats(0.1, 10.0),
+    calls=st.lists(st.sampled_from(["g", "gf", "fg", "f"]), min_size=6, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+# zero shifts under scales of both signs
+@example(scales=[-0.5, 0.5, 2.0, -0.5], shifts=[0.0] * 4, weights=[1, 2, 3, 4], points=1,
+         x_max=3.0, calls=["g"] * 6, seed=0)
+@example(scales=[0.5, 0.25, 0.25, 0.75], shifts=[0.0, 1.5, 0.0, -1.0], weights=[1] * 4,
+         points=41, x_max=9.0, calls=["g", "gf", "g", "fg", "f", "g"], seed=1)
+def test_once_per_distinct_argument_matches_oracle_bytes(scales, shifts, weights, points, x_max,
+                                                         calls, seed):
+    atoms = list(zip(scales, shifts, weights))
+    total = sum(w for _, _, w in atoms)
+    measure = rr.build_measure([(l, m, w / total) for l, m, w in atoms])
+    xs = np.linspace(0.0, x_max, points) if points > 1 else np.array([x_max])
+    g = rr.gaussian(0, 1) - rr.gaussian(1.5, 1)
+    f = rr.gaussian(0.5, 0.8) + rr.triangle(-1.0, 1.2)
+    depth = len(calls)
+    lattice = zip(range(depth), rr.spectrum._lattice(measure, xs), _lattice_rowwise_oracle(measure, xs))
+    for _, (prods, phis), (oracle_prods, oracle_phis) in lattice:
+        assert prods.tobytes() == oracle_prods.tobytes()
+        assert phis.tobytes() == oracle_phis.tobytes()
+    # a second h between depths, as finite_depth_residual takes at its last depth
+    terms = zip(calls, exact_terms(measure, xs), _exact_terms_loop_oracle(measure, xs))
+    for hs, term, oracle in terms:
+        for h in [{"g": g, "f": f}[name] for name in hs]:
+            assert term(h).tobytes() == oracle(h).tobytes()
+    # two chunks of paths and several frequency blocks, every depth direct
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rr.perpetuity, "CHUNK_ELEMS", 1000)
+        mp.setattr(rr.spectrum, "CHUNK_ELEMS", 1000)
+        mp.setattr(rr.spectrum, "_MOMENT_Y0", 0.0)
+        mc = _terms_mc(measure, g, xs, depth, 300, seed)
+        for term, oracle in zip(mc, _terms_mc_per_path_oracle(measure, g, xs, depth, 300, seed)):
+            assert term.tobytes() == oracle.tobytes()
+
+
+def test_lattice_groups_many_scales_like_rowwise_oracle():
+    # 66 distinct scales: a base-(depth + 1) code of the exponents would
+    # overflow int64 from depth 1; the ranks stay below the group count
+    scales = 0.5 + np.arange(66) / 200.0
+    measure = rr.build_measure([(float(l), 0.1 * k, 1 / 66) for k, l in enumerate(scales)])
+    xs = np.array([1.7])
+    lattice = zip(range(3), rr.spectrum._lattice(measure, xs), _lattice_rowwise_oracle(measure, xs))
+    for n, (prods, phis), (oracle_prods, oracle_phis) in lattice:
+        assert len(prods) == math.comb(n + 66, 65)
+        assert prods.tobytes() == oracle_prods.tobytes()
+        assert phis.tobytes() == oracle_phis.tobytes()
+
+
+class CountingNumpy:
+    """The numpy module with its ``exp`` calls recorded by argument shape."""
+
+    def __init__(self):
+        self.exp_shapes = []
+
+    def exp(self, x):
+        self.exp_shapes.append(np.shape(x))
+        return np.exp(x)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestOncePerDistinctArgument:
+    """Each transform row and phase column is evaluated once per distinct argument."""
+
+    EXACT_MIXED = [(0.5, -0.75, 0.5), (0.25, 1.125, 0.25), (0.75, -0.375, 0.25)]
+
+    def test_exact_terms_evaluate_only_products_new_since_previous_depth(self):
+        measure = rr.build_measure(self.EXACT_MIXED)
+        g = CountingFourier(rr.gaussian(0, 1) - rr.gaussian(1, 1))
+        f = CountingFourier(rr.gaussian(0.5, 1))
+        xs = np.linspace(0.0, 9.0, 37)
+        previous, expected, groups = set(), [], 0
+        depths = zip(range(10), exact_terms(measure, xs), _lattice_rowwise_oracle(measure, xs))
+        for _, term, (prods, _) in depths:
+            term(g)
+            new = set(prods.tolist()) - previous
+            previous = set(prods.tolist())
+            expected.append((len(new), len(xs)))
+            groups += len(prods)
+        # 1/4 = (1/2)^2: the depth-n products (2n + 1 of them new) repeat
+        # those of depth n - 1, so 120 of the 285 rows are evaluated
+        assert g.shapes == expected
+        assert sum(n for n, _ in expected) == 120 and groups == 285
+        # another h has no rows to copy: it evaluates every distinct product
+        term(f)
+        assert f.shapes == [(len(previous), len(xs))]
+
+    @pytest.mark.parametrize("atoms", [
+        EXACT_MIXED,
+        [(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)],
+    ], ids=["exact-mixed", "mc-mixed"])
+    def test_direct_route_takes_one_phase_column_per_distinct_partial_sum(
+            self, monkeypatch, atoms):
+        measure = rr.build_measure(atoms)
+        g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
+        xs = np.unique(np.abs(rr.symmetric_grid(8.0, 33)))
+        counter = CountingNumpy()
+        monkeypatch.setattr(rr.spectrum, "_MOMENT_Y0", 0.0)
+        monkeypatch.setattr(rr.spectrum, "np", counter)
+        for _ in _terms_mc(measure, g, xs, 6, 500, 2):
+            pass
+        # one chunk and one frequency block: the running sums equal
+        # np.cumsum of the drawn increments bit for bit
+        idx = _draw(measure, 6, 500, 2)
+        prods = np.cumprod(measure.scales[idx], axis=1)
+        sums = np.cumsum(measure.shifts[idx] / prods, axis=1)
+        distinct = [len(np.unique(sums[:, n])) for n in range(6)]
+        assert counter.exp_shapes == [(len(xs), k) for k in distinct]
+        assert distinct[0] == 3 and max(distinct) < 500
 
 
 PRIMITIVES = st.one_of(
