@@ -26,7 +26,10 @@ solver refuses it; the verifier still works there.
 Exact evaluation of T_n has one source, :func:`exact_terms`.  It groups
 the paths by how often each distinct scale was drawn, which is exact since
 the next phase increment depends on a path only through its scale product;
-one scale makes one group.  The Monte Carlo route, :func:`_terms_mc`,
+one scale makes one group.  Which paths meet in which group depends only
+on the number of distinct scales and the depth, so that group plan is
+kept across calls, within a fixed memory bound, and a depth then does only
+the work that depends on values.  The Monte Carlo route, :func:`_terms_mc`,
 estimates the same averages from drawn paths.  Every route yields T_n
 depth by depth to one summation loop, on |x| only: for real g,
 T_n[g](-x) = conj(T_n[g](x)).
@@ -54,6 +57,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -157,17 +162,73 @@ def _lex_ranks(steps: np.ndarray, depth: int) -> np.ndarray:
     return ranks
 
 
+#: The group plans of :func:`_group_plan` by (number of scales, depth).
+_PLANS: dict[tuple[int, int], tuple] = {}
+#: Bytes of arrays, headers included, that :data:`_PLANS` may keep.
+_PLAN_CACHE_BYTES = 32 << 20
+_plan_bytes = 0
+_plan_lock = threading.Lock()
+
+
+def _group_plan(keys: np.ndarray, depth: int):
+    """The group plan ``(target, first, keys)`` of one lattice depth, from
+    the exponent rows ``keys`` of the depth before.
+
+    The steps ``c + e_k`` run scale-major; ``target`` keys each step's
+    group by the integer rank of its exponent row from :func:`_lex_ranks`,
+    so the groups sort as the rows do; ``first`` picks each group's first
+    step, whose product the group keeps; ``keys`` are the depth's own rows.
+    A plan depends only on the number of scales d and the depth, so it is
+    kept in :data:`_PLANS`, read-only, while the kept plans hold at most
+    ``_PLAN_CACHE_BYTES``; a plan past that is built for its walk only."""
+    global _plan_bytes
+    d = keys.shape[1]
+    plan = _PLANS.get((d, depth))
+    if plan is None:
+        steps = (keys[None] + np.eye(d, dtype=int)[:, None]).reshape(-1, d)
+        target = _lex_ranks(steps, depth)
+        first = np.unique(target, return_index=True)[1]
+        plan = target, first, steps[first]
+        size = sum(map(sys.getsizeof, plan))
+        with _plan_lock:
+            if (d, depth) not in _PLANS and _plan_bytes + size <= _PLAN_CACHE_BYTES:
+                for a in plan:
+                    a.flags.writeable = False
+                _PLANS[d, depth] = plan
+                _plan_bytes += size
+    return plan
+
+
+#: Values in one array pass of :func:`_lattice` when more than one scale fits.
+_LATTICE_BLOCK = 1 << 12
+
+
 def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
     """Per depth n = 1, 2, ...: the products ``P_c`` and phase averages
     ``Phi_c = E[exp(i xs S_n); c]`` of the paths grouped by scale exponents c.
     The next increment ``M / (P_c L)`` depends on c only, so ``Phi_{c+e_k}``
     sums ``p_i exp(i m_i xs / P_{c+e_k}) Phi_c`` over the atoms of scale
-    ``s_k``: exact, and one group for one scale.  A step ``c + e_k`` is
-    keyed by its integer rank from :func:`_lex_ranks`, so the groups sort
-    as the exponent rows do.  Depths over the cap are refused."""
+    ``s_k``: exact, and one group for one scale.
+
+    Which steps meet in which group comes from :func:`_group_plan`, so a
+    depth does only the work that depends on values: the products,
+    ``u = xs / P``, one ``exp`` per atom, the phase products, and each
+    scale's steps added onto their groups in scale order.  The steps of
+    several scales share one array pass (the j-th atom of each scale at
+    once), in blocks of whole scales of at most ``_LATTICE_BLOCK`` values
+    where one scale fits.  Depths over the cap are refused before their
+    plan is built."""
     scales = _distinct(measure.scales)
     shifts = [[(m, p) for l, m, p in measure.atoms if l == s] for s in scales]
     d = len(scales)
+    # the j-th atom (1j m, p) of every scale as complex (d, 1, 1) columns; a
+    # scale with fewer atoms gets (0, 0), whose term adds an exact +0 to a
+    # phase that holds no -0 after its first addition, so no byte moves
+    slots = [
+        np.array([[1j * a[j][0], a[j][1]] if j < len(a) else [0j, 0j]
+                  for a in shifts]).T[..., None, None]
+        for j in range(max(map(len, shifts)))
+    ]
     keys, prods, phis = np.zeros((1, d), int), np.ones(1), np.ones((1, len(xs)), complex)
     for depth in itertools.count(1):
         groups = math.comb(depth + d - 1, d - 1)
@@ -175,27 +236,25 @@ def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
             raise EnumerationTooLarge(
                 f"{groups} scale groups x {len(xs)} frequencies at depth {depth} exceed the "
                 f"cap {ENUMERATION_CAP}; use fewer x_points, a larger eps or --strategy mc")
-        # scale-major steps c + e_k: a key's first occurrence is its first contribution
-        steps = (keys[None] + np.eye(d, dtype=int)[:, None]).reshape(-1, d)
-        target = _lex_ranks(steps, depth)
-        first = np.unique(target, return_index=True)[1]
-        keys = steps[first]
+        target, first, keys = _group_plan(keys, depth)
         prods = np.multiply.outer(scales, prods).ravel()[first]
         u = xs / prods[:, None]
-        new = np.empty((len(keys), len(xs)), dtype=complex)
-        for k, t in enumerate(target.reshape(d, -1)):
-            factor = np.zeros((len(t), len(xs)), dtype=complex)
+        # -0 + v is v for every float v, so each group adds its steps onto
+        # -0 in scale order: its first step is copied, the rest are added
+        new = np.full((groups, len(xs)), complex(-0.0, -0.0))
+        rows = len(phis)
+        block = max(1, _LATTICE_BLOCK // max(rows * len(xs), 1))
+        for k in range(0, d, block):
+            ks = slice(k, k + block)
+            t = target[k * rows:(k + block) * rows].reshape(-1, rows)
             ut = u[t]
-            for m, p in shifts[k]:
-                factor += p * np.exp(1j * m * ut)
-            phase = phis.copy()  # in place: numpy may round out of place differently
-            phase *= factor
-            if k == 0:  # the first scale's steps reach every target first
-                new[t] = phase
-                continue
-            seen = first[t] < k * len(t)  # reached through an earlier scale
-            new[t[~seen]] = phase[~seen]
-            new[t[seen]] += phase[seen]
+            phase = np.zeros(ut.shape, dtype=complex)
+            for jm, p in slots:
+                phase += p[ks] * np.exp(jm[ks] * ut)
+            # phis first: numpy's complex multiply (FMA) is not symmetric
+            np.multiply(phis, phase, out=phase)
+            for t_k, phase_k in zip(t, phase):
+                new[t_k] += phase_k
         phis = new
         yield prods, phis
 
@@ -214,15 +273,15 @@ def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray):
 
         def term(h, u=u, inv=inv, phis=phis):
             nonlocal latest
-            rows = np.empty((len(u), len(xs)), dtype=complex)
-            new = np.ones(len(u), dtype=bool)
             if latest is not None and latest[0] is h:
                 _, v, old = latest
                 at = np.minimum(np.searchsorted(v, u), len(v) - 1)
+                rows = old[at]  # right where the product recurs
                 new = v[at] != u
-                rows[~new] = old[at[~new]]
-            if new.any():
-                rows[new] = h.fourier(xs / u[new, None])
+                if new.any():
+                    rows[new] = h.fourier(xs / u[new, None])
+            else:
+                rows = h.fourier(xs / u[:, None])
             latest = (h, u, rows)
             # a cumulative sum adds the rows in order for every grid size
             acc = phis * rows[inv]

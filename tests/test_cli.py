@@ -237,6 +237,31 @@ class TestSolve:
         )
         assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("scale, terms", [(1.0, 22), (1e4, 23)])
+    def test_zero_mean_gate_scales_with_g(self, tmp_path, capsys, scale, terms):
+        # s g is admissible exactly when g is: at s = 1e4, ghat(0) rounds to
+        # -3.6e-12 and the solve passes (an absolute 1e-12 gate exited 4)
+        measure = rr.build_measure([(0.5, 1.0, 0.5), (0.75, 0.5, 0.5)])
+        f = scale * (rr.gaussian(0, 1) - (1 / 1.2) * rr.gaussian(1.5, 1.2))
+        g = rr.manufacture_inhomogeneity(measure, f)
+        cfg = write_config(tmp_path, measure=json.loads(measure.to_json()),
+                           g=json.loads(g.to_json()), grid={})
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["pass"] and verdict["series_terms"] == terms
+
+    def test_tiny_mass_exit_four(self, tmp_path):
+        # mass 2.5e-13 is far above the rounding of a one-term ghat(0); an
+        # absolute 1e-12 gate accepted it
+        cfg = write_config(tmp_path, g=[{"coef": 1e-13, "kind": "gaussian", "params": [0, 1]}])
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_mass_exit_four(self, tmp_path):
+        # finite coefficient, but its mass and ghat(0) overflow to inf
+        cfg = write_config(tmp_path, g=[{"coef": 1e308, "kind": "gaussian", "params": [0, 1]}])
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "o")]) == 4
+
     @pytest.mark.parametrize("mass", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("measure", [
         None, [{"l": 2, "m": 0, "p": 0.5}, {"l": 2, "m": 1, "p": 0.5}],

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randrefine as rr
-from randrefine.closedform import Gaussian, Indicator, Triangle, _erf
+from randrefine import closedform
+from randrefine.closedform import _SQRT2PI, Gaussian, Indicator, Triangle, _erf
 
 
 def quadrature_transform(fn, x, points=100_000):
@@ -82,6 +83,96 @@ class TestFourier:
         assert g.fourier(0.0) == pytest.approx(math.sqrt(2 * math.pi))
         assert g.fourier(2.0) == pytest.approx(
             math.sqrt(2 * math.pi) * math.exp(-2.0), abs=1e-14)
+
+
+def _transform_oracle(prim, x):
+    """Reference oracle: one primitive's transform on its own (the former
+    per-instance ``transform``)."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(prim, Indicator):
+        width = prim.b - prim.a
+        mid = 0.5 * (prim.a + prim.b)
+        return width * np.sinc(width * x / (2.0 * np.pi)) * np.exp(1j * mid * x)
+    if isinstance(prim, Triangle):
+        w = prim.halfwidth
+        core = w * np.sinc(w * x / (2.0 * np.pi)) ** 2
+        return core * np.exp(1j * prim.center * x)
+    s = prim.stddev
+    return s * _SQRT2PI * np.exp(1j * prim.mean * x - 0.5 * (s * x) ** 2)
+
+
+def _fourier_per_term_oracle(fn, x):
+    """Reference oracle: ``fourier`` as one transform per term, added in
+    term order (the former loop)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=complex)
+    for c, prim in fn.terms:
+        out += c * _transform_oracle(prim, x)
+    return out
+
+
+def assert_same_fourier_bytes(fn, x):
+    # a scalar is a one-point array (numpy's scalar math may square it 1 ulp
+    # away from the array loop)
+    with np.errstate(all="ignore"):  # huge |x| overflows (s x)^2 to inf
+        got = fn.fourier(x)
+        want = _fourier_per_term_oracle(fn, x.reshape(x.shape or (1,))).reshape(x.shape)
+    assert type(got) is (np.ndarray if x.shape else complex)
+    assert np.shape(got) == x.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
+
+
+# a few fixed primitives, so terms repeat exactly
+PRIMITIVE_POOL = [Indicator(0.0, 1.0), Triangle(-1.5, 0.5), Gaussian(2.0, 0.75)]
+
+
+@st.composite
+def mixed_closed_forms(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 10))):
+        centre = draw(st.floats(-50.0, 50.0))
+        width = draw(st.floats(1e-3, 20.0))
+        prim = draw(st.sampled_from([
+            Indicator(centre, centre + width), Triangle(centre, width),
+            Gaussian(centre, width), *PRIMITIVE_POOL]))
+        terms.append((draw(st.floats(-1e6, 1e6)), prim))
+    return rr.ClosedFormFn(tuple(terms))
+
+
+@st.composite
+def frequencies(draw):
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e15, -3e200, 5e-310]),
+                      st.floats(-1e3, 1e3))
+    shape = draw(st.sampled_from([(), (0,), (1,), (37,), (1, 1), (6, 9), (2, 40)]))
+    values = draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fn=mixed_closed_forms(), x=frequencies(), block=st.sampled_from([1, 5, 64, None]))
+def test_fourier_matches_per_term_oracle_bytes(fn, x, block):
+    # a small block cuts every array into many blocks
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(closedform, "_BLOCK_ELEMS", block)
+        assert_same_fourier_bytes(fn, x)
+
+
+def test_fourier_matches_per_term_oracle_bytes_across_blocks():
+    # 10 terms take _BLOCK_ELEMS // 10 points a block, so 2,280 points make
+    # several blocks; a transposed or strided view is read through its copy
+    rng = np.random.default_rng(5)
+    fn = rr.ClosedFormFn(tuple(
+        (float(c), prim) for c, prim in zip(rng.normal(size=10), [
+            Gaussian(0.5, 1.1), Indicator(-1.0, 0.25), Triangle(0.3, 2.0), Gaussian(-2.0, 0.4),
+            Gaussian(0.5, 1.1), Triangle(1.0, 0.5), Indicator(2.0, 3.5), Gaussian(1.0, 3.0),
+            Triangle(0.3, 2.0), Gaussian(4.0, 0.9)])))
+    x = rng.uniform(-30.0, 30.0, (40, 57))
+    x[0, :3] = [0.0, -0.0, 1e15]
+    assert x.size > closedform._BLOCK_ELEMS // len(fn.terms)
+    assert_same_fourier_bytes(fn, x)
+    assert_same_fourier_bytes(fn, x.T)
+    assert_same_fourier_bytes(fn, x[::3, 5])
 
 
 @settings(max_examples=50, deadline=None)
@@ -186,6 +277,29 @@ class TestZeroMean:
 
     def test_equal_mass_gaussians_true(self):
         assert rr.zero_mean_check(2 * rr.gaussian(0, 1) - 2 * rr.gaussian(3, 1))
+
+    def test_empty_true(self):
+        assert rr.zero_mean_check(rr.zero_fn())
+
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1e-9, 1.0, 1e4, 1e8, 2.0 ** 60])
+    def test_relative_to_l1(self, scale):
+        # |ghat(0)| <= 16 n eps ||g||_1: the verdict does not depend on the units of g
+        measure = rr.build_measure([(0.5, 1.0, 0.5), (0.75, 0.5, 0.5)])
+        f = rr.gaussian(0, 1) - (1 / 1.2) * rr.gaussian(1.5, 1.2)
+        g = rr.manufacture_inhomogeneity(measure, scale * f)
+        assert rr.zero_mean_check(g)
+        assert not rr.zero_mean_check(g + scale * 1e-10 * rr.gaussian(0, 1))
+
+    def test_tiny_mass_false(self):
+        assert not rr.zero_mean_check(1e-13 * rr.gaussian(0, 1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fn", [
+        1e308 * rr.gaussian(0, 1), 1e308 * rr.gaussian(0, 1) - 1e308 * rr.gaussian(1, 1)])
+    def test_overflowing_total_false(self, fn):
+        # ghat(0) and the L1 bound overflow to inf (and ghat(0) to nan when
+        # the two masses cancel); neither is vanishing within the bound
+        assert not rr.zero_mean_check(fn)
 
 
 class TestAffineImage:

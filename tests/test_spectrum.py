@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import randrefine as rr
 from randrefine.perpetuity import CHUNK_ELEMS, generator, state_walk
-from randrefine.spectrum import _terms_mc, exact_terms
+from randrefine.spectrum import _PLAN_CACHE_BYTES, _lex_ranks, _terms_mc, exact_terms
 
 
 def _inverse_direct(values_w, xs, ts):
@@ -707,6 +709,147 @@ def test_lattice_groups_many_scales_like_rowwise_oracle():
         assert len(prods) == math.comb(n + 66, 65)
         assert prods.tobytes() == oracle_prods.tobytes()
         assert phis.tobytes() == oracle_phis.tobytes()
+
+
+LATTICE_CASES = {  # d: (atoms, depth)
+    1: ([(0.5, 1.0, 0.5), (0.5, -0.75, 0.5)], 25),
+    3: ([(0.5, -0.75, 0.5), (0.25, 1.125, 0.25), (0.75, -0.375, 0.25)], 12),
+    # depth 3 is checked in test_lattice_groups_many_scales_like_rowwise_oracle
+    66: ([(0.5 + k / 200.0, 0.1 * k, 1 / 66) for k in range(66)], 2),
+}
+
+
+def _fresh_plans(monkeypatch, limit=_PLAN_CACHE_BYTES):
+    """An empty group-plan cache of ``limit`` bytes, and the list of the
+    depths that :func:`_lex_ranks` ranks from then on."""
+    monkeypatch.setattr(rr.spectrum, "_PLANS", {})
+    monkeypatch.setattr(rr.spectrum, "_plan_bytes", 0)
+    monkeypatch.setattr(rr.spectrum, "_PLAN_CACHE_BYTES", limit)
+    calls = []
+
+    def counted(steps, depth):
+        calls.append(depth)
+        return _lex_ranks(steps, depth)
+    monkeypatch.setattr(rr.spectrum, "_lex_ranks", counted)
+    return calls
+
+
+def _walk(measure, xs, depth):
+    return [(prods.tobytes(), phis.tobytes()) for _, (prods, phis) in
+            zip(range(depth), rr.spectrum._lattice(measure, xs))]
+
+
+def _oracle_walk(measure, xs, depth):
+    return [(prods.tobytes(), phis.tobytes()) for _, (prods, phis) in
+            zip(range(depth), _lattice_rowwise_oracle(measure, xs))]
+
+
+def _kept_bytes():
+    return sum(sys.getsizeof(a) for plan in rr.spectrum._PLANS.values() for a in plan)
+
+
+class TestGroupPlanCache:
+    """The lattice's group plans are built once per (d, depth) and kept."""
+
+    @pytest.mark.parametrize("d", sorted(LATTICE_CASES))
+    def test_cold_and_warm_walks_match_rowwise_oracle(self, monkeypatch, d):
+        atoms, depth = LATTICE_CASES[d]
+        measure = rr.build_measure(atoms)
+        xs = np.array([0.0, 0.37, 1.7, 6.3]) if d < 66 else np.array([1.7])
+        want = _oracle_walk(measure, xs, depth)
+        calls = _fresh_plans(monkeypatch)
+        for walk in ("cold", "warm"):
+            assert _walk(measure, xs, depth) == want, walk
+            # each depth is ranked once, by the cold walk
+            assert calls == list(range(1, depth + 1)), walk
+        assert sorted(rr.spectrum._PLANS) == [(d, n) for n in range(1, depth + 1)]
+
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        atoms, depth = LATTICE_CASES[3]
+        _fresh_plans(monkeypatch)
+        _walk(rr.build_measure(atoms), np.ones(2), depth)
+        arrays = [a for plan in rr.spectrum._PLANS.values() for a in plan]
+        assert len(arrays) == 3 * depth
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_warm_series_ranks_nothing(self, monkeypatch):
+        atoms, depth = LATTICE_CASES[3]
+        measure = rr.build_measure(atoms)
+        xs = np.linspace(0.0, 9.0, 37)
+        g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
+        calls = _fresh_plans(monkeypatch)
+        cold, _ = rr.sum_series_grid(measure, g, xs, eps=0.0, n_max=depth)
+        assert calls == list(range(1, depth + 1))
+        calls.clear()
+        warm, _ = rr.sum_series_grid(measure, g, xs, eps=0.0, n_max=depth)
+        assert calls == []
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_cold_forward_product_of_2000_depths_does_not_recurse(self, monkeypatch):
+        # |l| - 1 = 1e-3 keeps the tail above 1e-15 for all 2,000 factors
+        measure = rr.build_measure([(1.001, 1.0, 0.5), (1.001, -0.5, 0.5)])
+        xs = np.array([0.0, 0.3, 1.0])
+        calls = _fresh_plans(monkeypatch)
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            out = rr.forward_charfn_product(measure, xs)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert calls == list(range(1, 2001))
+        assert out.tobytes() == _forward_charfn_product_oracle(measure, xs).tobytes()
+
+    def test_retained_memory_within_bound(self, monkeypatch):
+        _fresh_plans(monkeypatch)
+        for atoms, depth in LATTICE_CASES.values():
+            _walk(rr.build_measure(atoms), np.ones(1), depth)
+        assert rr.spectrum._plan_bytes == _kept_bytes()
+        assert 0 < _kept_bytes() <= _PLAN_CACHE_BYTES
+
+    @pytest.mark.parametrize("limit", [0, 2000, 6000])
+    def test_walk_past_the_bound_keeps_bytes(self, monkeypatch, limit):
+        # plans past the bound are built for their walk and not kept
+        atoms, depth = LATTICE_CASES[3]
+        measure = rr.build_measure(atoms)
+        xs = np.array([0.0, 0.37, 1.7, 6.3])
+        want = _oracle_walk(measure, xs, depth)
+        _fresh_plans(monkeypatch, limit)
+        for _ in range(2):
+            assert _walk(measure, xs, depth) == want
+        assert rr.spectrum._plan_bytes == _kept_bytes() <= limit
+        assert len(rr.spectrum._PLANS) < depth
+
+    def test_concurrent_walks_match_oracle_and_count_bytes(self, monkeypatch):
+        # more threads than cores, switching often: every walk keeps its
+        # bytes, and the byte count matches what the cache holds
+        atoms, depth = LATTICE_CASES[3]
+        measure = rr.build_measure(atoms)
+        xs = np.array([0.37, 1.7])
+        want = _oracle_walk(measure, xs, depth)
+        _fresh_plans(monkeypatch)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: got.append(_walk(measure, xs, depth)))
+                       for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 6
+        assert len(rr.spectrum._PLANS) == depth
+        assert rr.spectrum._plan_bytes == _kept_bytes()
 
 
 class CountingNumpy:
