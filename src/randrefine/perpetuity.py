@@ -1,13 +1,13 @@
 """Sampling and exact enumeration of random affine path sums.
 
-Two partial sums over i.i.d. draws ``(L_1, M_1), (L_2, M_2), ...`` matter:
-
-* forward series  ``sum_{k<=n} M_k / (L_1 ... L_k)`` -- converges a.s. in
-  the expansive regime and its limit law drives the spectral solver there;
-* backward iterate ``Z_n = -sum_{i<=n} M_i * (L_1 ... L_{i-1})`` -- the
-  value at 0 of the n-fold map composed in reversed draw order, equal in
-  law to the plain n-fold iterate, and convergent in distribution in the
-  contractive regime (its limit CDF feeds the CDF-level iteration).
+The one path sum computed over i.i.d. draws ``(L_1, M_1), (L_2, M_2), ...`` is
+the forward series ``sum_{k<=n} M_k / (L_1 ... L_k)``.  It converges a.s. in
+the expansive regime, and its limit law drives the spectral solver there.  The
+backward iterate ``Z_n = -sum_{i<=n} M_i * (L_1 ... L_{i-1})``, the value at 0
+of the n-fold map in reversed draw order, equals the n-fold iterate in law and
+converges in distribution in the contractive regime (its limit CDF feeds the
+CDF-level iteration).  Term by term it is the forward series of the inverse
+maps ``(1/l, -m/l)`` (Vervaat 1979), and it is computed as that.
 
 Samplers are pure functions of (measure, parameters, seed) built on a
 counter-based generator keyed by the seed, so batches are reproducible.
@@ -150,29 +150,25 @@ def draw_forward(
     return out
 
 
-def _backward_sums(measure: RandomAffineMeasure, idx: np.ndarray) -> np.ndarray:
-    """Backward sums ``-sum_i M_i L_1...L_{i-1}`` of index rows, each row
-    summed in numpy's pairwise order like ``-(ms[idx] * prods).sum(axis=1)``."""
-    sums = np.empty(len(idx))
-    for rows, prods, terms in _row_blocks(idx):
-        _gather(measure.scales, idx[rows], terms)
-        prods[:, 0] = 1.0
-        np.cumprod(terms[:, :-1], axis=1, out=prods[:, 1:])
-        _gather(measure.shifts, idx[rows], terms)
-        terms *= prods
-        sums[rows] = -terms.sum(axis=1)
-    return sums
+def _inverted(measure: RandomAffineMeasure) -> RandomAffineMeasure:
+    """The inverse maps as atoms ``(1/l, -m/l, p)``, in the same order with the
+    same weight bytes, so each uniform picks the same atom (``build_measure``
+    would sort and renormalise them).  ``ValueError`` if one leaves the float range."""
+    atoms = tuple((1.0 / l, -m / l + 0.0, p) for l, m, p in measure.atoms)
+    if not np.all(np.isfinite([a[:2] for a in atoms])):
+        raise ValueError("an inverse map (1/l, -m/l) leaves the float range")
+    return RandomAffineMeasure(atoms)
 
 
 def draw_backward(
     measure: RandomAffineMeasure, depth: int, count: int, rng_seed: int
 ) -> np.ndarray:
-    """``count`` draws of the depth-n backward iterate Z_n."""
-    chunks = path_chunks(measure, depth, count, generator(rng_seed))
-    out = np.empty(count)
-    for rows, idx in chunks:
-        out[rows] = _backward_sums(measure, idx)
-    return out
+    """``count`` draws of the depth-n backward iterate Z_n: the forward series
+    of the inverted atoms on the same paths.  Term i rounds 2i + 1 times, not
+    i - 1, so a draw is within ``3 n eps sum_i |M_i L_1...L_{i-1}|`` of the
+    directly summed iterate while the terms are normal floats; powers of 2 with
+    dyadic shifts give its value.  An exactly zero draw is +0.0."""
+    return draw_forward(_inverted(measure), depth, count, rng_seed)
 
 
 def forward_truncation_depth(measure: RandomAffineMeasure) -> int:
@@ -216,6 +212,9 @@ class PathLaw:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         ps = np.asarray(self.probs, dtype=float)
+        bad = np.count_nonzero(~np.isfinite(vals))
+        if bad:
+            raise ValueError(f"{bad} of {len(vals)} path sums are not finite")
         uniq, inverse = np.unique(vals, return_inverse=True)
         merged = np.bincount(inverse, weights=ps)
         object.__setattr__(self, "values", uniq)
@@ -242,9 +241,9 @@ class PathLaw:
         return PathLaw(self.values * factor, self.probs.copy(), self.depth)
 
 
-def state_walk(measure: RandomAffineMeasure, which: str = "forward"):
+def state_walk(measure: RandomAffineMeasure):
     """Yield the exact law ``(prods, sums, weights)`` of the scale product
-    ``L_1...L_n`` and the forward or backward partial sum, n = 1, 2, ...
+    ``L_1...L_n`` and the forward partial sum, n = 1, 2, ...
 
     Paths that reach the same float pair are merged.  That keeps the law (the
     next depth depends on the pair only) and keeps measures whose products
@@ -261,10 +260,7 @@ def state_walk(measure: RandomAffineMeasure, which: str = "forward"):
                 f"exceed the cap {ENUMERATION_CAP}"
             )
         denom = prods[:, None] * ls[None, :]
-        if which == "forward":
-            sums = (sums[:, None] + ms[None, :] / denom).ravel()
-        else:
-            sums = (sums[:, None] - ms[None, :] * prods[:, None]).ravel()
+        sums = (sums[:, None] + ms[None, :] / denom).ravel()
         prods = denom.ravel()
         weights = (weights[:, None] * ps[None, :]).ravel()
         order = np.lexsort((sums, prods))
@@ -280,16 +276,19 @@ def state_walk(measure: RandomAffineMeasure, which: str = "forward"):
 def enumerate_paths(
     measure: RandomAffineMeasure, depth: int, which: str
 ) -> PathLaw:
-    """Exact law of the forward or backward partial sum at ``depth``.
-
-    ``which`` is ``"forward"`` or ``"backward"``; the merged
-    :func:`state_walk` refuses depths beyond :data:`ENUMERATION_CAP`.
+    """Exact law at ``depth`` of the forward series (``which="forward"``) or of
+    the backward iterate (``"backward"``), the forward series of the inverted
+    atoms.  The merged :func:`state_walk` refuses depths beyond
+    :data:`ENUMERATION_CAP`; :class:`PathLaw` refuses a path sum that leaves
+    the float range, so the walk's float-range warnings are silenced.
     """
     if which not in ("forward", "backward"):
         raise ValueError("which must be 'forward' or 'backward'")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    _, sums, weights = next(itertools.islice(state_walk(measure, which), depth - 1, None))
+    walk = state_walk(measure if which == "forward" else _inverted(measure))
+    with np.errstate(all="ignore"):
+        _, sums, weights = next(itertools.islice(walk, depth - 1, None))
     return PathLaw(sums, weights, depth)
 
 

@@ -34,18 +34,40 @@ def _draw_forward_oracle(measure, depth, count, seed):
     return out
 
 
-def _draw_backward_oracle(measure, depth, count, seed):
+def _backward_terms_oracle(measure, depth, count, seed):
+    """The backward terms ``M_i L_1...L_{i-1}`` of each oracle path, one row
+    per draw."""
     ls, ms = measure.scales, measure.shifts
-    out = np.empty(count)
-    pos = 0
+    rows = [np.empty((0, depth))]
     for idx in _index_chunks_oracle(measure, depth, count, pp.generator(seed)):
         scales = ls[idx]
         prods = np.ones_like(scales)
         np.cumprod(scales[:, :-1], axis=1, out=prods[:, 1:])
-        vals = -(ms[idx] * prods).sum(axis=1)
-        out[pos:pos + len(vals)] = vals
-        pos += len(vals)
-    return out
+        rows.append(ms[idx] * prods)
+    return np.concatenate(rows)
+
+
+def _draw_backward_oracle(measure, depth, count, seed):
+    """Reference oracle: the backward iterate summed directly,
+    ``-sum_i M_i L_1...L_{i-1}``."""
+    return -_backward_terms_oracle(measure, depth, count, seed).sum(axis=1)
+
+
+def _draw_inverted_oracle(measure, depth, count, seed):
+    return _draw_forward_oracle(pp._inverted(measure), depth, count, seed)
+
+
+def _inversion_bound(depth, term_moduli):
+    """How far the forward series of the inverted atoms may round from the
+    backward iterate summed directly, given ``sum_i |M_i L_1...L_{i-1}|``.
+
+    Term i takes 2i + 1 roundings there (i reciprocals, i - 1 products,
+    ``-m/l`` and the division) against i - 1 in ``M_i * (L_1...L_{i-1})``,
+    and each of the two sums of n terms adds at most n - 1 roundings of
+    ``sum |terms|``.  At eps/2 per rounding that is (5n - 2) eps/2 times
+    ``sum |terms|`` to first order, which 3 n eps bounds while every term
+    stays a normal float."""
+    return 3 * depth * np.finfo(float).eps * term_moduli
 
 
 def _charfn_full_grid_oracle(measure, xs, sample_count, depth, seed):
@@ -70,33 +92,58 @@ EXPANSIVE = [(2.0, -1.0, 0.5), (2.0, 1.0, 0.5)]  # the CLI session's kind: one s
 
 
 def _enumerate_paths_oracle(measure, depth, which):
-    """Reference oracle: the raw walk over all ``k**depth`` atom paths, and
-    the number of paths merged into each support point."""
+    """Reference oracle: the raw walk over all ``k**depth`` atom paths, as
+    each path's sum, its weight and the sum of its terms' moduli."""
     ls, ms, ps = measure.scales, measure.shifts, measure.weights
     sums = np.zeros(1)
+    moduli = np.zeros(1)
     prods = np.ones(1)
     weights = np.ones(1)
     for _ in range(depth):
         if which == "forward":
-            prods_next = np.multiply.outer(prods, ls).ravel()
-            sums = (sums[:, None] + ms[None, :] / (prods[:, None] * ls[None, :])).ravel()
+            terms = ms[None, :] / (prods[:, None] * ls[None, :])
+            sums = (sums[:, None] + terms).ravel()
         else:
-            sums = (sums[:, None] - ms[None, :] * prods[:, None]).ravel()
-            prods_next = np.multiply.outer(prods, ls).ravel()
-        prods = prods_next
+            terms = ms[None, :] * prods[:, None]
+            sums = (sums[:, None] - terms).ravel()
+        moduli = (moduli[:, None] + np.abs(terms)).ravel()
+        prods = np.multiply.outer(prods, ls).ravel()
         weights = np.multiply.outer(weights, ps).ravel()
-    return rr.PathLaw(sums, weights, depth), np.unique(sums, return_counts=True)[1]
+    return sums, weights, moduli
 
 
 def assert_same_law(measure, depth, which):
+    """The merged law against the raw walk; the backward law is the forward
+    walk of the inverted atoms, so its values are that walk's bytes."""
     law = rr.enumerate_paths(measure, depth, which)
-    oracle, merged = _enumerate_paths_oracle(measure, depth, which)
+    raw = measure if which == "forward" else pp._inverted(measure)
+    sums, weights, _ = _enumerate_paths_oracle(raw, depth, "forward")
+    oracle = rr.PathLaw(sums, weights, depth)
     assert law.values.tobytes() == oracle.values.tobytes()
     # Both sides add the weights of the paths merged into a point, and multiply
     # them along the path, in different orders: the two sums round apart by
     # up to about (paths + depth) eps of the probability.
+    merged = np.unique(sums, return_counts=True)[1]
     bound = (merged + depth) * np.finfo(float).eps * oracle.probs
     assert np.all(np.abs(law.probs - oracle.probs) <= bound)
+
+
+def assert_backward_law_within_inversion_bound(measure, depth):
+    """Each raw path sum of the inverted atoms is within the inversion bound
+    of the backward iterate summed directly along the same path, so the
+    backward law's CDF lies between the direct law's CDF shifted by the
+    largest path bound either way, up to the probabilities' roundings."""
+    inverted, _, _ = _enumerate_paths_oracle(pp._inverted(measure), depth, "forward")
+    direct, weights, moduli = _enumerate_paths_oracle(measure, depth, "backward")
+    bound = _inversion_bound(depth, moduli)
+    assert np.all(np.abs(inverted - direct) <= bound)
+    law = rr.enumerate_paths(measure, depth, "backward")
+    oracle = rr.PathLaw(direct, weights, depth)
+    shift = bound.max()
+    ts = np.concatenate([law.values, oracle.values])
+    tol = 2 * (len(direct) + depth) * np.finfo(float).eps
+    assert np.all(law.cdf(ts) <= oracle.cdf(ts + shift) + tol)
+    assert np.all(law.cdf(ts) >= oracle.cdf(ts - shift) - tol)
 
 
 def ks_distance(samples, cdf):
@@ -287,11 +334,61 @@ def test_forward_products_past_float_range_warn_nothing():
 ])
 @pytest.mark.parametrize("draw, oracle", [
     (rr.draw_forward, _draw_forward_oracle),
-    (rr.draw_backward, _draw_backward_oracle),
+    (rr.draw_backward, _draw_inverted_oracle),
 ], ids=["forward", "backward"])
 def test_draws_match_chunk_oracle_bytes(draw, oracle, depth, count):
     m = rr.build_measure(MIXED)
     assert draw(m, depth, count, 17).tobytes() == oracle(m, depth, count, 17).tobytes()
+
+
+def _normalised(atoms):
+    total = sum(w for _, _, w in atoms)
+    return rr.build_measure([(l, m, w / total) for l, m, w in atoms])
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+# |l| on both sides of 1 and |m| off the subnormal range, so every term of a
+# depth-200 path stays a normal float
+_SCALES = st.builds(lambda a, s: s * a, st.floats(0.1, 10.0), _SIGN)
+_SHIFTS = st.one_of(st.just(0.0), st.builds(lambda a, s: s * a, st.floats(1e-3, 10.0), _SIGN))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_SCALES, _SHIFTS, st.integers(1, 4)), min_size=1, max_size=4),
+    st.integers(1, 200), st.integers(1, 300), st.integers(0, 2**32),
+)
+def test_backward_draws_within_inversion_bound(atoms, depth, count, seed):
+    """Each backward draw, on the same path as the directly summed oracle,
+    is within the inversion bound of it."""
+    m = _normalised(atoms)
+    terms = _backward_terms_oracle(m, depth, count, seed)
+    draws = rr.draw_backward(m, depth, count, seed)
+    assert draws.tobytes() == _draw_inverted_oracle(m, depth, count, seed).tobytes()
+    err = np.abs(draws - _draw_backward_oracle(m, depth, count, seed))
+    assert np.all(err <= _inversion_bound(depth, np.abs(terms).sum(axis=1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([-8.0, -2.0, -0.5, -0.125, 0.25, 0.5, 1.0, 2.0, 4.0]),
+            st.integers(-64, 64).map(lambda j: j / 16),
+            st.integers(1, 4),
+        ),
+        min_size=1, max_size=4,
+    ),
+    st.integers(1, 200), st.integers(1, 300), st.integers(0, 2**32),
+)
+def test_dyadic_backward_draws_keep_the_direct_bytes(atoms, depth, count, seed):
+    """Powers of 2 and dyadic shifts make every term exact both ways, so the
+    draws keep the directly summed oracle's bytes.  Only the sign of an
+    exact zero moves: the oracle negates a +0.0 sum, the forward sum is +0.0."""
+    m = _normalised(atoms)
+    draws = rr.draw_backward(m, depth, count, seed)
+    oracle = _draw_backward_oracle(m, depth, count, seed)
+    assert (draws + 0.0).tobytes() == (oracle + 0.0).tobytes()
 
 
 class TestEnumeratePaths:
@@ -344,6 +441,8 @@ class TestEnumeratePaths:
     ], ids=["dyadic", "half-dyadic", "mixed-3", "dyadic-4", "skewed", "negative-scale"])
     def test_merged_walk_matches_raw_oracle(self, atoms, depth, which):
         assert_same_law(rr.build_measure(atoms), depth, which)
+        if which == "backward":
+            assert_backward_law_within_inversion_bound(rr.build_measure(atoms), depth)
 
     def test_merged_dyadic_law_beyond_raw_cap(self):
         # 4**12 raw paths exceed the cap; the merged forward law is the
@@ -358,7 +457,7 @@ class TestEnumeratePaths:
     def test_small_cap_refuses_before_expanding(self, monkeypatch):
         monkeypatch.setattr(pp, "ENUMERATION_CAP", 8)
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
-        walk = pp.state_walk(m, "forward")
+        walk = pp.state_walk(m)
         assert [len(next(walk)[0]) for _ in range(3)] == [2, 4, 8]
         with pytest.raises(rr.EnumerationTooLarge, match="8 path states x 2 atoms at depth 4"):
             next(walk)
@@ -373,6 +472,32 @@ class TestEnumeratePaths:
             law.cdf([0.0, math.nan])
         assert law.cdf(math.inf) == 1.0
         assert law.cdf(-math.inf) == 0.0
+
+    @pytest.mark.parametrize("atoms, which, message", [
+        # a 0 * inf product and inf - inf: a NaN point, and cdf(inf) read 0.99976
+        ([(1e-30, 1, 0.5), (1e20, -1, 0.5)], "forward", "3 of 627"),
+        # products past 1e308: two infinite points
+        ([(1e30, 1, 0.5), (1e-20, -1, 0.5)], "backward", "2 of 705"),
+    ], ids=["nan", "inf"])
+    def test_nonfinite_support_refused_without_warnings(self, atoms, which, message):
+        # the suite turns a RuntimeWarning into an error
+        with pytest.raises(ValueError, match=f"{message} path sums are not finite"):
+            rr.enumerate_paths(rr.build_measure(atoms), 12, which)
+
+    def test_path_law_counts_nonfinite_values(self):
+        with pytest.raises(ValueError, match="2 of 4 path sums are not finite"):
+            rr.PathLaw([0.0, math.nan, -math.inf, 1.0], [0.25] * 4, 1)
+
+    @pytest.mark.parametrize("atoms", [
+        [(1e-10, 1e300, 1.0)],  # -m/l = -1e310: the draws read -inf
+        [(1e-310, 1.0, 0.5), (0.5, 1.0, 0.5)],  # 1/l = 1e310: NaN draws and a warning
+    ], ids=["shift-over-scale", "subnormal-scale"])
+    def test_backward_refused_without_a_finite_inverse(self, atoms):
+        m = rr.build_measure(atoms)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            rr.draw_backward(m, 3, 4, 1)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            rr.enumerate_paths(m, 3, "backward")
 
     @pytest.mark.parametrize("atoms, depth", [
         ([(0.5, 0.37 * i, 0.2) for i in range(5)], 3),
@@ -417,8 +542,16 @@ class TestEnumeratePaths:
     st.sampled_from(["forward", "backward"]),
 )
 def test_merged_walk_matches_raw_oracle_generated(atoms, depth, which):
-    total = sum(w for _, _, w in atoms)
-    assert_same_law(rr.build_measure([(l, m, w / total) for l, m, w in atoms]), depth, which)
+    assert_same_law(_normalised(atoms), depth, which)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(_SCALES, _SHIFTS, st.integers(1, 4)), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=6),
+)
+def test_backward_law_within_inversion_bound(atoms, depth):
+    assert_backward_law_within_inversion_bound(_normalised(atoms), depth)
 
 
 class TestCharfnEstimate:
