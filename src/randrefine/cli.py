@@ -383,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "residual verdict for a candidate solution", writes=False)
     p.add_argument("solution", help="candidate: .json closed form or .csv t,f grid")
 
-    p = command("perpetuity", cmd_perpetuity, "Monte Carlo charfn / limit CDF")
-    p.add_argument("--what", choices=("charfn", "cdf", "auto"), default=None)
+    p = command("perpetuity", cmd_perpetuity, "Monte Carlo charfn / CDF of the regime's limit law")
+    p.add_argument("--what", choices=("charfn", "cdf", "auto"), default=None,
+                   help="auto: charfn when expansive, cdf otherwise")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
 

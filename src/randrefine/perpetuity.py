@@ -2,12 +2,11 @@
 
 The one path sum computed over i.i.d. draws ``(L_1, M_1), (L_2, M_2), ...`` is
 the forward series ``sum_{k<=n} M_k / (L_1 ... L_k)``.  It converges a.s. in
-the expansive regime, and its limit law drives the spectral solver there.  The
-backward iterate ``Z_n = -sum_{i<=n} M_i * (L_1 ... L_{i-1})``, the value at 0
-of the n-fold map in reversed draw order, equals the n-fold iterate in law and
-converges in distribution in the contractive regime (its limit CDF feeds the
-CDF-level iteration).  Term by term it is the forward series of the inverse
-maps ``(1/l, -m/l)`` (Vervaat 1979), and it is computed as that.
+the expansive regime.  The backward iterate ``Z_n = -sum_{i<=n} M_i * (L_1 ...
+L_{i-1})`` equals the n-fold iterate in law and converges in law in the
+contractive regime; term by term it is the forward series of the inverse maps
+``(1/l, -m/l)`` (Vervaat 1979), and it is computed as that.  Both estimates,
+characteristic function and CDF, draw the one limit of the measure's regime.
 
 Samplers are pure functions of (measure, parameters, seed) built on a
 counter-based generator keyed by the seed, so batches are reproducible.
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import ClosedFormFn
-from .errors import EnumerationTooLarge, RegimeMismatch, WindowTooSmall
+from .errors import CriticalRegime, EnumerationTooLarge, WindowTooSmall
 from .gridfn import affine_step, finite_points, half_grid
 from .measure import RandomAffineMeasure, Regime, classify_regime
 
@@ -188,15 +187,6 @@ def forward_truncation_depth(measure: RandomAffineMeasure) -> int:
     return max(1, min(500, int(math.ceil(n))))
 
 
-def backward_default_depth(report) -> int:
-    """Depth making the expected contraction factor smaller than 1e-12,
-    capped at 200."""
-    if report.mean_log_scale >= 0.0:
-        return 200
-    n = math.log(1e-12) / report.mean_log_scale
-    return max(1, min(200, int(math.ceil(n))))
-
-
 # ---------------------------------------------------------------------------
 # exact enumeration
 # ---------------------------------------------------------------------------
@@ -298,7 +288,7 @@ def enumerate_paths(
 
 @dataclass(frozen=True)
 class PerpetuityEstimate:
-    """Empirical characteristic function and/or CDF of a perpetuity limit."""
+    """Empirical characteristic function or CDF of a perpetuity limit."""
 
     sample_count: int
     depth: int
@@ -307,7 +297,28 @@ class PerpetuityEstimate:
     charfn_stderr: np.ndarray | None = None
     cdf_t: np.ndarray | None = None
     cdf_values: np.ndarray | None = None
-    divergent_regime: bool = False
+
+
+def _limit_draws(
+    measure: RandomAffineMeasure, sample_count: int, depth: int | None, rng_seed: int
+) -> tuple[int, np.ndarray]:
+    """``(depth, draws)``: ``sample_count`` draws of the limit law Z of the
+    measure's regime.  Expansive: the forward series, by default to
+    :func:`forward_truncation_depth`.  Contractive: the backward iterate, by
+    default to the depth where ``exp(n E log|L|) < 1e-12``, capped at 200.
+    The critical regime has no limit law: :class:`CriticalRegime`."""
+    if sample_count < 1:
+        raise ValueError(f"sample count must be >= 1, got {sample_count}")
+    report = classify_regime(measure)
+    if report.regime is Regime.CRITICAL:
+        raise CriticalRegime("E log|L| = 0: the path sums have no limit law to sample")
+    if report.regime is Regime.LOG_EXPANSIVE:
+        draw, default = draw_forward, forward_truncation_depth(measure)
+    else:
+        draw = draw_backward
+        default = max(1, min(200, math.ceil(math.log(1e-12) / report.mean_log_scale)))
+    depth = default if depth is None else depth
+    return depth, draw(measure, depth, sample_count, rng_seed)
 
 
 def estimate_charfn(
@@ -316,9 +327,11 @@ def estimate_charfn(
     sample_count: int,
     depth: int | None = None,
     rng_seed: int = 0,
-    allow_divergent: bool = False,
 ) -> PerpetuityEstimate:
-    """Monte Carlo estimate of ``E exp(i x Z)`` for the forward-series limit.
+    """Monte Carlo estimate of ``E exp(i x Z)`` for the limit law Z of the
+    measure's regime: the forward series when expansive, the backward
+    iterate when contractive, at that direction's default depth unless
+    ``depth`` is given.  The critical regime raises :class:`CriticalRegime`.
 
     One common batch of draws serves every grid point, which keeps the
     estimate a smooth function of x.  It is evaluated on the distinct |x| and
@@ -331,28 +344,9 @@ def estimate_charfn(
     ``exp(i dx z)``: one complex multiply per draw instead of one complex
     exp, at about ``8k`` ulps of added rounding.  Any other point set takes
     the exp row by row.  A non-finite frequency raises ``ValueError``.
-
-    Outside the expansive regime the series need not converge; the call is
-    refused unless ``allow_divergent`` is set, in which case the estimate
-    carries ``divergent_regime=True``.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample count must be >= 1, got {sample_count}")
-    report = classify_regime(measure)
-    divergent = report.regime is not Regime.LOG_EXPANSIVE
-    if divergent and not allow_divergent:
-        raise RegimeMismatch(
-            f"forward series needs the expansive regime, got {report.regime.value}; "
-            "pass allow_divergent=True to override"
-        )
-    if depth is None:
-        if divergent:
-            # no truncation bound exists for a divergent series; deep
-            # products would underflow, so the caller must choose
-            raise ValueError("explicit depth required with allow_divergent")
-        depth = forward_truncation_depth(measure)
     xs = finite_points(x_grid, "x_grid")
-    z = draw_forward(measure, depth, sample_count, rng_seed)
+    depth, z = _limit_draws(measure, sample_count, depth, rng_seed)
 
     half, mirror = half_grid(xs)
     values = np.empty(len(half), dtype=complex)
@@ -372,7 +366,6 @@ def estimate_charfn(
         charfn_x=xs,
         charfn_values=mirror(values),
         charfn_stderr=mirror(stderr),
-        divergent_regime=divergent,
     )
 
 
@@ -382,37 +375,17 @@ def estimate_cdf(
     sample_count: int,
     depth: int | None = None,
     rng_seed: int = 0,
-    allow_divergent: bool = False,
 ) -> PerpetuityEstimate:
-    """Empirical CDF of the backward iterate at ``depth`` on ``t_grid``.
-
-    The default depth pushes the expected contraction factor below 1e-12
-    (capped at 200).  The expansive regime is refused outright; the
-    critical regime only with ``allow_divergent``.  A non-finite grid point
-    raises ``ValueError``.
-    """
-    if sample_count < 1:
-        raise ValueError(f"sample count must be >= 1, got {sample_count}")
-    report = classify_regime(measure)
-    if report.regime is Regime.LOG_EXPANSIVE:
-        raise RegimeMismatch("backward iterates diverge in the expansive regime")
-    divergent = report.regime is not Regime.LOG_CONTRACTIVE
-    if divergent and not allow_divergent:
-        raise RegimeMismatch(
-            "limit law needs the contractive regime; "
-            "pass allow_divergent=True to override"
-        )
-    if depth is None:
-        depth = backward_default_depth(report)
+    """Empirical CDF on ``t_grid`` of the limit law Z, drawn as
+    :func:`estimate_charfn` draws it.  A non-finite point raises ``ValueError``."""
     ts = finite_points(t_grid, "t_grid")
-    z = np.sort(draw_backward(measure, depth, sample_count, rng_seed))
-    cdf = np.searchsorted(z, ts, side="right") / sample_count
+    depth, z = _limit_draws(measure, sample_count, depth, rng_seed)
+    z.sort()
     return PerpetuityEstimate(
         sample_count=sample_count,
         depth=depth,
         cdf_t=ts,
-        cdf_values=cdf,
-        divergent_regime=divergent,
+        cdf_values=np.searchsorted(z, ts, side="right") / sample_count,
     )
 
 

@@ -512,7 +512,6 @@ def solve_spectrum(
     *,
     eps: float = 1e-10,
     n_max: int = 60,
-    allow_unverified: bool = False,
     regime_report: RegimeReport | None = None,
 ) -> Spectrum:
     """Assemble the solution transform on ``x_grid`` for the given regime.
@@ -520,12 +519,11 @@ def solve_spectrum(
     ``mass`` is the free value of the transform at 0: it must be finite
     and 0 in the contractive regime (enforced).  A non-finite mass or
     frequency raises ``ValueError`` before any work.  In the expansive
-    regime with nonzero shifts the forward-limit factor comes from the
-    exact product when the scale is deterministic (exact strategy) or from
-    Monte Carlo estimation at :func:`estimate_charfn`'s default depth.
-
-    Expansive maps with a common fixed point fail the sufficient check for
-    the forward series; they are refused unless ``allow_unverified`` is set.
+    regime with nonzero shifts and mass the forward-limit factor comes from
+    the exact product when the scale is deterministic (exact strategy) or
+    from Monte Carlo estimation at :func:`estimate_charfn`'s default depth.
+    If every map fixes one point, the forward limit is the point mass there,
+    whose transform does not decay, so a nonzero mass is refused.
     """
     if not math.isfinite(mass):
         raise ValueError(f"mass must be finite, got {mass!r}")
@@ -550,13 +548,13 @@ def solve_spectrum(
                 "contractive regime forces the solution mass to 0"
             )
         values = series + ghat
-    elif report.shift_degenerate:
+    elif report.shift_degenerate or mass == 0.0:
         values = mass + series + ghat
     else:
-        if not report.forward_series_condition and not allow_unverified:
+        if not report.forward_series_condition:
             raise RegimeMismatch(
-                "expansive regime with a common fixed point: the forward "
-                "series is not known to converge; pass allow_unverified=True"
+                f"every map fixes {-report.degeneracy_witness!r}; the forward limit is the "
+                "point mass there, whose transform does not decay, so only mass 0 solves"
             )
         if isinstance(strategy, MonteCarloStrategy):
             est = estimate_charfn(measure, xs, strategy.sample_count, rng_seed=strategy.seed)

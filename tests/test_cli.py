@@ -218,6 +218,19 @@ class TestSolve:
         )
         assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
 
+    def test_shared_fixed_point_solves_at_mass_zero_only(self, tmp_path, capsys):
+        # every map fixes -0.7: the forward limit is the point mass there, so
+        # mass 0 solves and the expansive default mass of 1 is refused (exit 5)
+        measure = rr.build_measure([(2, -0.7, 0.5), (3, -1.4, 0.5)])
+        g = rr.manufacture_inhomogeneity(measure, rr.gaussian(0, 1) - rr.gaussian(3, 1))
+        cfg = write_config(tmp_path, measure=json.loads(measure.to_json()),
+                           g=json.loads(g.to_json()), solver={})
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out), "--mass", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"]
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 5
+        assert "every map fixes -0.7" in capsys.readouterr().err
+
     @pytest.mark.parametrize("params", [[float("nan"), 1], [0, float("inf")], [0]])
     def test_invalid_forcing_parameters_exit_one(self, tmp_path, params):
         cfg = write_config(tmp_path, g=[{"coef": 1.0, "kind": "gaussian", "params": params}])
@@ -396,6 +409,41 @@ class TestPerpetuity:
         assert main(["perpetuity", str(cfg), "--out-dir", str(out)]) == 0
         lines = (out / "perpetuity_cdf.csv").read_text().splitlines()
         assert lines[1] == "t,phi"
+
+    def test_charfn_table_for_contractive(self, tmp_path):
+        # the README map's limit is the point mass at -2
+        cfg = write_config(tmp_path, perpetuity={"samples": 2000})
+        out = tmp_path / "out"
+        assert main(["perpetuity", str(cfg), "--out-dir", str(out), "--what", "charfn"]) == 0
+        x, re, im, stderr = np.loadtxt(out / "charfn.csv", delimiter=",", skiprows=2).T
+        assert np.all(np.abs(re + 1j * im - np.exp(-2j * x)) <= 5 * stderr + 1e-9)
+
+    def test_cdf_table_for_expansive(self, tmp_path, capsys):
+        atoms = [(2.0, 0.5, 0.5), (2.0, -1.0, 0.5)]
+        cfg = write_config(
+            tmp_path,
+            measure=json.loads(rr.build_measure(atoms).to_json()),
+            perpetuity={"t_min": -2.0, "t_max": 2.0, "t_points": 101, "samples": 2000},
+        )
+        out = tmp_path / "out"
+        assert main(["perpetuity", str(cfg), "--out-dir", str(out), "--what", "cdf",
+                     "--depth", "12"]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 12
+        t, phi = np.loadtxt(out / "perpetuity_cdf.csv", delimiter=",", skiprows=2).T
+        exact = rr.enumerate_paths(rr.build_measure(atoms), 12, "forward").cdf(t)
+        assert np.all(np.abs(phi - exact) <= 5 * np.sqrt(exact * (1 - exact) / 2000) + 1e-12)
+
+    @pytest.mark.parametrize("what", ["charfn", "cdf", "auto"])
+    def test_critical_exit_three(self, tmp_path, capsys, what):
+        # exited 5, with a hint at a Python keyword the CLI has no flag for
+        cfg = write_config(
+            tmp_path, measure=[{"l": -1, "m": 2, "p": 0.5}, {"l": 1, "m": 0, "p": 0.5}],
+            perpetuity={"samples": 100},
+        )
+        out = tmp_path / "out"
+        assert main(["perpetuity", str(cfg), "--out-dir", str(out), "--what", what]) == 3
+        assert capsys.readouterr().err.startswith("critical regime: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("entries, message", [
         ({"t_points": 0}, "'t_points' must be between 2"),

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import randrefine as rr
@@ -593,20 +593,24 @@ class TestCharfnEstimate:
     @pytest.mark.parametrize("samples", [1, 20_000])
     def test_half_grid_matches_full_grid_oracle_bytes(self, xs, affine, samples):
         """Byte-equal to the direct phase matrix off the phase recurrence; on
-        an affine |x| set the recurrence adds only a few ulps per row."""
-        m = rr.build_measure([(2.0, 0.0, 0.5), (3.0, 1.0, 0.3), (-2.0, -0.5, 0.2)])
-        est = rr.estimate_charfn(m, xs, samples, rng_seed=9)
-        values, stderr = _charfn_full_grid_oracle(m, xs, samples, est.depth, 9)
-        assert est.charfn_x.tobytes() == xs.tobytes()
-        if affine:
-            assert np.max(np.abs(est.charfn_values - values)) <= 1e-14
-            np.testing.assert_allclose(est.charfn_stderr, stderr, rtol=1e-13, atol=0.0)
-        else:
-            assert est.charfn_values.tobytes() == values.tobytes()
-            assert est.charfn_stderr.tobytes() == stderr.tobytes()
-        assert np.all(est.charfn_stderr[xs == 0.0] == 0.0)
-        if samples == 1:
-            assert np.all(est.charfn_stderr == 0.0)
+        an affine |x| set the recurrence adds only a few ulps per row.  A
+        contractive measure draws the backward iterate, which is the forward
+        series of its inverted atoms."""
+        expansive = rr.build_measure([(2.0, 0.0, 0.5), (3.0, 1.0, 0.3), (-2.0, -0.5, 0.2)])
+        contractive = rr.build_measure([(0.5, 0.0, 0.5), (0.25, 1.0, 0.3), (-0.5, -0.5, 0.2)])
+        for m, drawn in ((expansive, expansive), (contractive, pp._inverted(contractive))):
+            est = rr.estimate_charfn(m, xs, samples, rng_seed=9)
+            values, stderr = _charfn_full_grid_oracle(drawn, xs, samples, est.depth, 9)
+            assert est.charfn_x.tobytes() == xs.tobytes()
+            if affine:
+                assert np.max(np.abs(est.charfn_values - values)) <= 1e-14
+                np.testing.assert_allclose(est.charfn_stderr, stderr, rtol=1e-13, atol=0.0)
+            else:
+                assert est.charfn_values.tobytes() == values.tobytes()
+                assert est.charfn_stderr.tobytes() == stderr.tobytes()
+            assert np.all(est.charfn_stderr[xs == 0.0] == 0.0)
+            if samples == 1:
+                assert np.all(est.charfn_stderr == 0.0)
 
     def test_affine_grid_takes_recurrence_bytes(self):
         xs = rr.symmetric_grid(4.0, 9)
@@ -648,20 +652,29 @@ class TestCharfnEstimate:
         assert np.all(np.abs(est.charfn_values) <= 1.0 + 3 * est.charfn_stderr + 1e-12)
 
     def test_regime_gate_and_override(self):
-        contractive = rr.build_measure([(0.5, 1, 1.0)])
-        with pytest.raises(rr.RegimeMismatch):
-            rr.estimate_charfn(contractive, [1.0], 100)
-        est = rr.estimate_charfn(contractive, [1.0], 100, depth=5,
-                                 allow_divergent=True)
-        assert est.divergent_regime
+        # the regime picks the law: the README map's contractive limit is the
+        # point mass at -2, drawn at the backward depth rule; a given depth
+        # overrides the rule
+        contractive = rr.build_measure(README)
+        xs = np.array([1.0, 3.0])
+        est = rr.estimate_charfn(contractive, xs, 100, rng_seed=1)
+        assert est.depth == math.ceil(math.log(1e-12) / math.log(0.5))
+        assert np.max(np.abs(est.charfn_values - np.exp(-2j * xs))) <= 1e-11
+        assert np.all(est.charfn_stderr <= 1e-15)  # equal draws: only the mean's rounding
+        est = rr.estimate_charfn(contractive, [1.0], 100, depth=5, rng_seed=1)
+        z = pp.draw_backward(contractive, 5, 100, 1)
+        assert est.depth == 5
+        assert est.charfn_values[0] == np.exp(1j * z).mean()
 
     def test_critical_override_flagged(self):
+        # E log|L| = 0 leaves no limit law: both estimates refuse by name, as
+        # the solver does, and no keyword overrides the refusal
         critical = rr.build_measure([(-1, 2, 0.5), (1, 0, 0.5)])
-        with pytest.raises(rr.RegimeMismatch):
-            rr.estimate_charfn(critical, [1.0], 100)
-        est = rr.estimate_charfn(critical, [1.0], 100, depth=8,
-                                 allow_divergent=True)
-        assert est.divergent_regime
+        for estimate in (rr.estimate_charfn, rr.estimate_cdf):
+            with pytest.raises(rr.CriticalRegime, match="no limit law"):
+                estimate(critical, [1.0], 100, depth=8)
+            with pytest.raises(TypeError):
+                estimate(critical, [1.0], 100, depth=8, allow_divergent=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -684,6 +697,45 @@ def test_affine_recurrence_within_rounding_bound(atoms, a, b, e, k, samples, see
     z = pp.draw_forward(m, est.depth, samples, seed)
     bound = (xs.max() * np.abs(z).max() + 8 * k) * np.finfo(float).eps
     assert np.max(np.abs(est.charfn_values - values)) <= bound
+
+
+# Powers of 2 and dyadic shifts keep every path sum exact in both directions,
+# so each draw is a support point of the exact law.
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([-4.0, -2.0, -0.5, -0.25, 0.25, 0.5, 2.0, 4.0]),
+            st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.5]),
+            st.integers(min_value=1, max_value=4),
+        ),
+        min_size=2, max_size=3,
+    ),
+    st.integers(min_value=1, max_value=8),
+    st.integers(0, 2**32),
+)
+def test_estimates_follow_the_exact_law_of_the_regime(atoms, depth, seed):
+    """Both estimates of either regime against the exact law of its
+    direction: the charfn within 5 standard errors, and the CDF within 5
+    binomial standard errors where that normal bound applies (F in
+    [0.01, 0.99]) and exactly where F is 0 or 1."""
+    m = _normalised(atoms)
+    regime = rr.classify_regime(m).regime
+    assume(regime is not rr.Regime.CRITICAL)
+    law = rr.enumerate_paths(m, depth, "forward" if regime is rr.Regime.LOG_EXPANSIVE
+                             else "backward")
+    n = 4000
+    xs = np.linspace(-3.0, 3.0, 13)
+    est = rr.estimate_charfn(m, xs, n, depth=depth, rng_seed=seed)
+    exact = np.exp(1j * np.multiply.outer(xs, law.values)) @ law.probs
+    assert np.all(np.abs(est.charfn_values - exact) <= 5 * est.charfn_stderr + 1e-12)
+
+    ts = np.concatenate([[law.values[0] - 1.0], law.values, law.values[-1:] + 1.0])
+    phi = law.cdf(ts)
+    keep = (phi == 0.0) | (phi == 1.0) | ((phi >= 0.01) & (phi <= 0.99))
+    est = rr.estimate_cdf(m, ts[keep], n, depth=depth, rng_seed=seed)
+    slack = 5 * np.sqrt(phi[keep] * (1.0 - phi[keep]) / n) + 1e-12
+    assert np.all(np.abs(est.cdf_values - phi[keep]) <= slack)
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -723,12 +775,14 @@ class TestCdfEstimate:
         est = rr.estimate_cdf(m, np.linspace(-1, 3, 301), 10_000, rng_seed=4)
         assert np.all(np.diff(est.cdf_values) >= 0.0)
 
-    def test_expansive_hard_refusal(self):
-        m = rr.build_measure([(2, 1, 1.0)])
-        with pytest.raises(rr.RegimeMismatch):
-            rr.estimate_cdf(m, [0.0], 100)
-        with pytest.raises(rr.RegimeMismatch):
-            rr.estimate_cdf(m, [0.0], 100, allow_divergent=True)
+    def test_expansive_cdf_is_the_forward_law(self):
+        m = rr.build_measure(EXPANSIVE)
+        ts = np.linspace(-1.5, 1.5, 301)
+        est = rr.estimate_cdf(m, ts, 5000, rng_seed=5)
+        depth = pp.forward_truncation_depth(m)
+        z = np.sort(pp.draw_forward(m, depth, 5000, 5))
+        assert est.depth == depth
+        assert est.cdf_values.tobytes() == (np.searchsorted(z, ts, "right") / 5000).tobytes()
 
     @pytest.mark.parametrize("ts", [[0.0, np.nan], [np.inf], [-np.inf, 0.0]])
     def test_nonfinite_point_refused(self, ts):

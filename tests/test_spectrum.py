@@ -1068,17 +1068,36 @@ class TestSolveSpectrum:
                           regime_report=report if given else None)
         assert len(calls) == (0 if given else 1)
 
-    def test_shared_fixed_point_needs_override(self):
-        # single atom (2, -1): every map fixes -1, the forward limit is the
-        # constant -1, and the sufficient convergence condition fails
-        measure = rr.build_measure([(2, -1, 1.0)])
+    def test_shared_fixed_point_needs_mass_zero(self):
+        # every map fixes one point, so the forward limit is the point mass
+        # there: mass 0 solves without it, and a nonzero mass, whose term
+        # mass * exp(i x point) does not decay, is refused by naming the point
+        f = rr.gaussian(0, 1) - rr.gaussian(3, 1)
+        xs = rr.symmetric_grid(20.0, 257)
+        for atoms, point in (([(2, -1, 1.0)], "-1.0"),
+                             ([(2, -0.7, 0.5), (3, -1.4, 0.5)], "-0.7")):
+            measure = rr.build_measure(atoms)
+            g = rr.manufacture_inhomogeneity(measure, f)
+            spec = rr.solve_spectrum(measure, g, 0.0, xs)
+            assert np.max(np.abs(spec.values - f.fourier(xs))) <= 1e-10
+            with pytest.raises(rr.RegimeMismatch, match=f"every map fixes {point};"):
+                rr.solve_spectrum(measure, g, 1.0, xs)
+
+    @pytest.mark.parametrize("strategy", [rr.EXACT, rr.MonteCarloStrategy(500, seed=2)],
+                             ids=["exact", "mc"])
+    def test_mass_zero_expansive_takes_no_forward_factor(self, monkeypatch, strategy):
+        # mixed expansive scales have no exact forward factor; the exact solve
+        # raised EnumerationTooLarge although mass 0 multiplies the factor by 0
+        measure = rr.build_measure([(2, 0.5, 0.5), (3, -1, 0.25), (4, 1.5, 0.25)])
         f = rr.gaussian(0, 1) - rr.gaussian(3, 1)
         g = rr.manufacture_inhomogeneity(measure, f)
         xs = rr.symmetric_grid(20.0, 257)
-        with pytest.raises(rr.RegimeMismatch):
-            rr.solve_spectrum(measure, g, 0.0, xs)
-        spec = rr.solve_spectrum(measure, g, 0.0, xs, allow_unverified=True)
-        assert np.max(np.abs(spec.values - f.fourier(xs))) <= 1e-10
+        for name in ("estimate_charfn", "forward_charfn_product"):
+            monkeypatch.setattr(rr.spectrum, name, None)
+        spec = rr.solve_spectrum(measure, g, 0.0, xs, strategy)
+        if strategy is rr.EXACT:
+            assert spec.truncation.converged
+            assert np.max(np.abs(spec.values - f.fourier(xs))) <= 1e-10
 
     def test_monte_carlo_strategy_close(self, expansive_pair):
         measure, f, g = expansive_pair
