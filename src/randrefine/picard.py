@@ -19,11 +19,15 @@ growing windows.
 
 The image points ``l_i * t - m_i`` of the grid never change, so
 ``picard_iterate`` locates them once per atom, by arithmetic on the
-uniform grid, and every sweep is a gather over that plan, computed block
-by block with ``np.interp``'s own formula so the values match it bit for
-bit.  The sweeps run on the calling thread: a thread pool over the
-blocks ran faster on two idle CPUs but, on CPUs shared with other work,
-its speed followed their load from one run to the next.
+uniform grid, as one plan ``(J, off)`` over all n nodes.  Values and
+slopes sit one entry up, after a sentinel: entry 0 holds 0.0 for points
+left of the window, entry n the last value and a slope of 0.0 for points
+at or past its right end.  A sweep is one gather ``values[J] + off *
+slopes[J]`` per atom, block by block, with ``np.interp``'s own formula so
+the values match it bit for bit.  Negative scales are still refused:
+they read ``F(inf) - F(l x - m)``.  The sweeps run on the calling thread:
+a thread pool over the blocks ran faster on two idle CPUs but, on CPUs
+shared with other work, its speed followed their load from run to run.
 
 The linear part ``A v(t) = sum_i p_i v(l_i t - m_i)`` maps polynomials
 of degree k to themselves, with eigenvalues 1 (constants) and
@@ -40,7 +44,6 @@ ends a run, and so the values returned are always a plain sweep.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,23 +78,18 @@ def picard_iterate(
     tol: float = 1e-9,
     max_iter: int = 500,
     start: str = "zero",
-    check_integral_identity: bool = False,
 ) -> PicardResult:
     """Iterate the CDF-level map to its fixed point on a uniform grid.
 
     Requires mean-contractive positive scales.  Start ``"zero"`` uses the
     null function, ``"forcing"`` starts from G (both converge to the same
     fixed point; the pair is used as a uniqueness check).  Points that the
-    maps send outside the window are read through the extrapolation
-    constants: 0 on the left, the current right-edge value on the right.
-    The run converges when a sweep changes no node by ``tol`` or more;
-    ``tol`` must be finite and non-negative, and 0 runs all ``max_iter``
-    sweeps.
-
-    ``check_integral_identity=True`` additionally estimates the limit CDF of
-    the backward iterates and warns (never fails) when
-    ``int g * Phi != int g``, the hypothesis under which a Lipschitz fixed
-    point is guaranteed to exist.
+    maps send outside the window read the sentinels: 0 on the left, the
+    current right-edge value on the right.  The run converges when a sweep
+    changes no node by ``tol`` or more; ``tol`` must be finite and
+    non-negative, and 0 runs all ``max_iter`` sweeps.  A Lipschitz fixed
+    point is sure to exist when ``int g * Phi == int g``, Phi the backward
+    iterates' limit CDF; ``check_cdf_integral_identity`` tests that.
     """
     report = classify_regime(measure)
     if not report.scales_positive:
@@ -110,9 +108,6 @@ def picard_iterate(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
-    if check_integral_identity:
-        _warn_on_integral_identity(measure, g)
-
     nodes = np.linspace(t_min, t_max, n)
     # G is elementwise, so blocks give the same bytes with smaller temporaries.
     forcing = np.empty(n)
@@ -122,12 +117,10 @@ def picard_iterate(
     dx = np.diff(nodes)
     del nodes
 
-    values = np.zeros(n) if start == "zero" else forcing.copy()
-    new = np.empty(n)
-    slopes = np.empty(n - 1)
-    term, gathered = np.empty(_BLOCK), np.empty(_BLOCK)
-    blocks = range(0, n, _BLOCK)
-    block_max = np.empty(len(blocks))
+    # The sentinel layout: node k at entry k + 1, 0.0 at entry 0.
+    values, new, slopes = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    if start == "forcing":
+        values[1:] = forcing
     modes = _modes(measure)
     settled, mode, prev = 0, 0, 0.0
     deltas: list[float] = []
@@ -136,37 +129,9 @@ def picard_iterate(
     for it in range(max_iter):
         # Never on the last sweep, so the values returned are a plain T x.
         jump = settled >= 2 and it < max_iter - 1
-        # np.interp's formula: slope * (x - t[j]) + v[j], slope = dv / dt.
-        np.subtract(values[1:], values[:-1], out=slopes)
-        slopes /= dx
-        for k, s in enumerate(blocks):
-            e = min(s + _BLOCK, n)
-            out = new[s:e]
-            out[:] = forcing[s:e]
-            for (a, b, j, off), p in plans:
-                # Points left of the window read 0.0; adding it changes no
-                # bit, since G sums from +0.0 and so no sum here is -0.0.
-                lo, hi = max(a, s), min(b, e)
-                if lo < hi:
-                    jj = j[lo - a:hi - a].astype(np.intp)
-                    r, v = term[:hi - lo], gathered[:hi - lo]
-                    # "clip" never clips (j < n - 1) but, unlike the
-                    # default "raise", writes to out without a copy.
-                    np.take(slopes, jj, out=r, mode="clip")
-                    r *= off[lo - a:hi - a]
-                    r += np.take(values, jj, out=v, mode="clip")
-                    r *= p
-                    out[lo - s:hi - s] += r
-                if b < e:
-                    out[max(b, s) - s:] += p * values[-1]
-            d = term[:e - s]
-            np.subtract(out, values[s:e], out=d)
-            if jump:
-                out += np.multiply(d, modes[mode][2], out=gathered[:e - s])
-            block_max[k] = np.max(np.abs(d, out=d))
+        delta = _sweep(plans, forcing, values, new, slopes, dx,
+                       modes[mode][2] if jump else None)
         values, new = new, values
-        # np.max, not the built-in max, so a NaN delta propagates.
-        delta = float(np.max(block_max))
         deltas.append(delta)
         if jump:
             jumps.append((it, mode + 1))
@@ -187,7 +152,7 @@ def picard_iterate(
         else:
             settled, mode = 1, k
         prev = delta
-    cdf = GridFn(t_min, t_max, step, values, 0.0, float(values[-1]))
+    cdf = GridFn(t_min, t_max, step, values[1:], 0.0, float(values[-1]))
     return PicardResult(cdf, len(deltas), deltas[-1], converged, tuple(deltas),
                         tuple(jumps))
 
@@ -224,51 +189,67 @@ def _settled_mode(modes, prev: float, delta: float) -> int | None:
     return None
 
 
-def _interp_plan(nodes: np.ndarray, l: float, m: float):
-    """Where ``np.interp(l*nodes - m, nodes, v, left=0.0, right=v[-1])`` reads.
+def _sweep(plans, forcing, values, new, slopes, dx, jump) -> float:
+    """``new = T values`` in the sentinel layout, plus ``jump * (T x - x)``
+    unless ``jump`` is None; returns the plain ``max|T x - x|``.  Entries 0
+    and n of ``slopes`` and entry 0 of ``values`` and ``new`` stay 0.0."""
+    n = len(forcing)
+    # np.interp's formula: slope * (x - t[j]) + v[j], slope = dv / dt.
+    np.subtract(values[2:], values[1:-1], out=slopes[1:-1])
+    slopes[1:-1] /= dx
+    term, gathered = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    block_max = []
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        out = new[s + 1:e + 1]
+        out[:] = forcing[s:e]
+        r, v = term[:e - s], gathered[:e - s]
+        for (j, off), p in plans:
+            jj = j[s:e].astype(np.intp)
+            # "clip" never clips (0 <= j <= n) but, unlike the default
+            # "raise", writes to out without a copy.
+            np.take(slopes, jj, out=r, mode="clip")
+            r *= off[s:e]
+            r += np.take(values, jj, out=v, mode="clip")
+            r *= p
+            out += r
+        np.subtract(out, values[s + 1:e + 1], out=r)
+        if jump is not None:
+            out += np.multiply(r, jump, out=v)
+        block_max.append(np.max(np.abs(r, out=r)))
+    # np.max, not the built-in max, so a NaN delta propagates.
+    return float(np.max(block_max))
 
-    A positive ``l`` makes the image points non-decreasing: points ``[:a]``
-    lie left of the window and read 0.0, points ``[b:]`` at or past its
-    right end read ``v[-1]``, and point ``a + k`` lies ``off[k]`` past node
-    ``j[k]``, inside its interval.
+
+def _interp_plan(nodes: np.ndarray, l: float, m: float):
+    """Where ``np.interp(l*nodes - m, nodes, v, left=0.0, right=v[-1])``
+    reads, for l of either sign: ``(J, off)`` over all n image points.
+
+    ``J = searchsorted(nodes, pts, "right")`` indexes the sentinel layout:
+    0 left of the window, n at or past its right end, else node ``J - 1``,
+    which the point lies ``off`` past.  ``off`` is 0.0 outside the window,
+    so a point past the float range adds ``0 * 0``, never ``0 * inf``.
 
     :func:`randrefine.gridfn.linspace_index` places each point at most one
     interval off, and one step up or down against the nodes settles it.
     Grids too fine for that bound take ``np.searchsorted``.
     """
     n = len(nodes)
-    pts = l * nodes - m
-    a = int(np.searchsorted(pts, nodes[0], side="left"))
-    b = int(np.searchsorted(pts, nodes[-1], side="left"))
-    j, off = np.empty(b - a, np.int32), np.empty(b - a)
-    for s in range(a, b, _BLOCK):
-        e = min(s + _BLOCK, b)
-        pb = pts[s:e]
+    with np.errstate(over="ignore"):  # an overflowing point reads an end
+        pts = l * nodes - m
+    J, off = np.empty(n, np.int32), np.zeros(n)
+    for s in range(0, n, _BLOCK):
+        pb = pts[s:s + _BLOCK]
         jb = linspace_index(pb, nodes[0], nodes[-1], n)
         if jb is None:
-            jb = np.searchsorted(nodes, pb, side="right") - 1
+            jb = np.searchsorted(nodes, pb, side="right")
         else:
-            jb += nodes[jb + 1] <= pb
-            jb -= nodes[jb] > pb
-        j[s - a:e - a] = jb
-        np.subtract(pb, nodes[jb], out=off[s - a:e - a])
-    return a, b, j, off
-
-
-def _warn_on_integral_identity(measure, g):
-    from .perpetuity import check_cdf_integral_identity, estimate_cdf
-
-    lo, hi = g.support()
-    pad = 0.25 * (hi - lo) + 1.0
-    ts = np.linspace(lo - pad, hi + pad, 2001)
-    est = estimate_cdf(measure, ts, 20_000, rng_seed=1)
-    tol = 5.0 * g.l1_upper_bound() / math.sqrt(20_000) + 1e-6
-    if not check_cdf_integral_identity(g, est, tol):
-        warnings.warn(
-            "estimated limit CDF does not satisfy the integral identity "
-            "int g*Phi == int g; the iteration may still converge",
-            stacklevel=3,
-        )
+            jb += 1
+            jb += nodes[jb] <= pb
+            jb -= nodes[jb - 1] > pb
+        J[s:s + _BLOCK] = jb
+        np.subtract(pb, nodes[jb - 1], out=off[s:s + _BLOCK], where=(jb > 0) & (jb < n))
+    return J, off
 
 
 def cdf_equation_residual(
@@ -277,14 +258,16 @@ def cdf_equation_residual(
     g: ClosedFormFn,
     probe_points,
 ) -> float:
-    """Max over probes of |F(x) - sum_i p_i F(l_i x - m_i) - G(x)|; the
-    probes must be finite and at least one."""
+    """Max over probes of |F(x) - sum_i p_i F_i(x) - G(x)|, F_i(x) being
+    F(l_i x - m_i), or F(inf) - F(l_i x - m_i) where l_i < 0, with
+    ``cdf.right_value`` as F(inf); the probes must be finite and at least one."""
     xs = finite_points(probe_points, "probe_points")
     if xs.size == 0:
         raise ValueError("probe_points must not be empty")
     acc = cdf(xs) - g.antiderivative(xs)
     for l, m, p in measure.atoms:
-        acc = acc - p * cdf(l * xs - m)
+        image = cdf(l * xs - m)
+        acc = acc - p * (image if l > 0 else cdf.right_value - image)
     return float(np.max(np.abs(acc)))
 
 

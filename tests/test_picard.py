@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import randrefine as rr
 import randrefine.gridfn as gridfn
 from conftest import staircase_cdf
-from randrefine.picard import _BLOCK, _interp_plan
+from randrefine.picard import _BLOCK, _interp_plan, _sweep
 
 
 def _picard_interp_oracle(measure, g, window, step, tol, max_iter, start):
@@ -214,24 +214,6 @@ class TestPicardIterate:
                                 max_iter=3)
         assert not res.converged
         assert res.iterations == 3
-
-    def test_integral_identity_warning(self):
-        # limit law is a point mass at -2; a forcing term with mass on the
-        # far left breaks the integral identity and triggers the warning
-        measure = rr.build_measure([(0.5, 1, 1.0)])
-        g_bad = rr.indicator(-4, -3) - rr.indicator(3, 4)
-        with pytest.warns(UserWarning, match="integral identity"):
-            rr.picard_iterate(measure, g_bad, (-6, 6), 1e-2,
-                              check_integral_identity=True)
-
-    def test_integral_identity_quiet_when_satisfied(self):
-        import warnings
-        measure = rr.build_measure([(0.5, 1, 1.0)])
-        g_ok = rr.indicator(3, 4) - rr.indicator(5, 6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rr.picard_iterate(measure, g_ok, (-10, 10), 1e-2,
-                              check_integral_identity=True)
 
 
 def _manufactured(atoms, f):
@@ -504,32 +486,33 @@ class TestPicardMatchesInterpOracle:
             nodes = np.linspace(*window, n)
             return n, _interp_plan(nodes, l, m)
 
-        n, (a, b, _, _) = plan((-4.0, 4.0), 1e-2, 0.5, 2.5)
-        assert 0 < a < b == n
-        n, (a, b, _, _) = plan((-4.0, 4.0), 1e-2, 0.5, -2.5)
-        assert 0 == a < b < n
-        n, (a, b, _, _) = plan((-6.0, 6.0), 1e-2, 1.5, 0.3)
-        assert 0 < a < b < n
-        _, (_, _, _, off) = plan((-4.0, 4.0), 1.0 / 64, 0.5, 0.25)
-        assert np.count_nonzero(off == 0.0) > 200
+        n, (j, _) = plan((-4.0, 4.0), 1e-2, 0.5, 2.5)
+        assert 0 in j and n not in j
+        n, (j, _) = plan((-4.0, 4.0), 1e-2, 0.5, -2.5)
+        assert 0 not in j and n in j
+        n, (j, _) = plan((-6.0, 6.0), 1e-2, 1.5, 0.3)
+        assert 0 in j and n in j
+        n, (j, off) = plan((-4.0, 4.0), 1.0 / 64, 0.5, 0.25)
+        assert np.count_nonzero(off[(j > 0) & (j < n)] == 0.0) > 200
 
 
 def _searchsorted_plan(nodes, l, m):
-    """The plan by binary search, as it was before the arithmetic index."""
-    pts = l * nodes - m
-    j = np.searchsorted(nodes, pts, side="right") - 1
-    a = int(np.searchsorted(j, 0))
-    b = int(np.searchsorted(j, len(nodes) - 1))
-    j = j[a:b]
-    return a, b, j.astype(np.int32), pts[a:b] - nodes[j]
+    """The plan by binary search over all nodes: ``J`` indexes the sentinel
+    layout, and ``off`` is 0.0 outside the window."""
+    with np.errstate(over="ignore"):
+        pts = l * nodes - m
+    j = np.searchsorted(nodes, pts, side="right")
+    inside = (j > 0) & (j < len(nodes))
+    off = np.where(inside, pts - nodes[np.maximum(j - 1, 0)], 0.0)
+    return j.astype(np.int32), off
 
 
 def _assert_same_plan(nodes, l, m):
-    a, b, j, off = _interp_plan(nodes, l, m)
-    a0, b0, j0, off0 = _searchsorted_plan(nodes, l, m)
-    assert (a, b) == (a0, b0)
+    j, off = _interp_plan(nodes, l, m)
+    j0, off0 = _searchsorted_plan(nodes, l, m)
     assert j.dtype == j0.dtype and np.array_equal(j, j0)
     assert off.tobytes() == off0.tobytes()
+    assert not np.isnan(off).any()
 
 
 class TestInterpPlanMatchesSearchsorted:
@@ -542,8 +525,11 @@ class TestInterpPlanMatchesSearchsorted:
         ((1e4, 1e4 + 1e-6), 1001, 1.0, 3e-7),    # spacing 1e-9 next to 1e4
         ((1e15, 1e15 + 1.0), 1001, 1.0, -0.4),   # spacing below the rounding
         ((1e8, 1e8 + 1e-4), 20001, 1.0, 2e-5),   # of the nodes: binary search
+        ((-6.0, 6.0), 1201, -1.5, 0.3),          # decreasing images, both sides
+        ((1e9, 1e9 + 1.0), 1001, 1e300, 0.0),    # inf images: J == n, off == 0.0
     ], ids=["several-blocks", "node-hits", "left-edge", "both-edges", "two-nodes",
-            "fine-offset", "collapsed-nodes", "near-collapsed-nodes"])
+            "fine-offset", "collapsed-nodes", "near-collapsed-nodes",
+            "negative-scale", "overflowing-image"])
     def test_fixed_grids(self, window, n, l, m):
         _assert_same_plan(np.linspace(*window, n), l, m)
 
@@ -553,14 +539,45 @@ class TestInterpPlanMatchesSearchsorted:
         width_exp=st.floats(-3.0, 3.0),
         n=st.integers(2, 3000),
         l=st.floats(0.05, 2.0),
+        sign=st.sampled_from([1.0, -1.0]),
         m_frac=st.floats(-1.0, 1.0),
     )
-    def test_random_linspace_grids(self, t0, width_exp, n, l, m_frac):
+    def test_random_linspace_grids(self, t0, width_exp, n, l, sign, m_frac):
         width = 10.0 ** width_exp
         nodes = np.linspace(t0, t0 + width, n)
+        l *= sign
         # a shift that sends some image points into the window
         m = l * t0 - t0 + m_frac * width
         _assert_same_plan(nodes, l, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t0=st.floats(-1e3, 1e3),
+        width_exp=st.floats(-3.0, 3.0),
+        extra=st.integers(1, _BLOCK),
+        l=st.floats(0.05, 4.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        m_frac=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_atom_sweep_is_np_interp(self, t0, width_exp, extra, l, sign, m_frac, seed):
+        # Images of either order, partly outside the window, on grids of
+        # two full blocks and a part: the one gather is np.interp's, bit for
+        # bit, ends included.
+        n = 2 * _BLOCK + extra
+        width = 10.0 ** width_exp
+        nodes = np.linspace(t0, t0 + width, n)
+        l *= sign
+        m = l * t0 - t0 + m_frac * width
+        v = np.random.default_rng(seed).standard_normal(n)
+        values, new, slopes = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+        values[1:] = v
+        delta = _sweep([(_interp_plan(nodes, l, m), 1.0)], np.zeros(n), values, new,
+                       slopes, np.diff(nodes), None)
+        expected = np.interp(l * nodes - m, nodes, v, left=0.0, right=v[-1])
+        assert new[1:].tobytes() == expected.tobytes()
+        assert new[0] == 0.0 and slopes[0] == slopes[n] == 0.0
+        assert delta == np.max(np.abs(expected - v))
 
 
 class TestPicardRejectsBadGrid:
@@ -639,6 +656,14 @@ class TestCdfEquationResidual:
                                       right_value=float(f.antiderivative(10.0)))
         probes = np.linspace(-7, 7, 141) + 0.0004
         assert rr.cdf_equation_residual(measure, cdf, g, probes) <= 1e-6
+
+    def test_negative_scale_reads_f_at_infinity(self):
+        # A negative l integrates to F(inf) - F(l x - m); subtracting
+        # F(l x - m) alone read 1.25 here.
+        f = rr.gaussian(0.2, 0.8) + 0.5 * rr.triangle(-0.5, 1.0)
+        measure, g = _manufactured([(-0.5, 0.3, 0.5), (0.5, -0.2, 0.5)], f)
+        cdf = rr.GridFn.from_function(f.antiderivative, -20.0, 20.0, 1e-3)
+        assert rr.cdf_equation_residual(measure, cdf, g, np.linspace(-5, 5, 101)) <= 1e-12
 
 
 class TestIntegrabilityDiagnostic:
