@@ -30,26 +30,23 @@ one scale makes one group.  Which paths meet in which group depends only
 on the number of distinct scales and the depth, so that group plan is
 kept across calls, within a fixed memory bound, and a depth then does only
 the work that depends on values.  The Monte Carlo route, :func:`_terms_mc`,
-estimates the same averages from drawn paths.  Every route yields T_n
-depth by depth to one summation loop, on |x| only: for real g,
-T_n[g](-x) = conj(T_n[g](x)).
+estimates the same averages from drawn paths.  Every route yields the map
+``h -> T_n[h]`` depth by depth to one summation loop, on |x| only: for real
+g, T_n[g](-x) = conj(T_n[g](x)).
 
 Both routes evaluate each transform and phase once per distinct argument
 and gather the result to the groups or paths that share it, so every term
 keeps the bytes of one evaluation per group or path: ``hhat(xs / P)`` once
 per distinct product P, with a depth's rows copied from the depth before
 where P recurs (only one depth of rows is kept), and on the Monte Carlo
-direct route ``exp(i xs S)`` once per distinct partial sum S.
+route ``exp(i xs S)`` once per distinct partial sum S.
 
-Past the first depths of an expansive Monte Carlo series, ``ghat`` is read
-only at small arguments ``|x / P_n| <= y0``, where its Taylor series about
-the centre c of g converges fast: ``ghat(y) = exp(i y c) sum_{k<K} a_k y^k``
-with ``a_k = i^k m_k / k!`` from the closed-form moments of g.  Such a depth
-(the moment route) is one matrix product of phases ``exp(i x (S + c/P))``
-with the powers ``P^-k``, no transform call; its truncation is certified
-below ``1e-16 ||g||_1`` by the absolute moments, and its phases come from a
-row recurrence on an affine half grid.  Shallow depths, non-affine grids and
-forcing terms too wide for the bound keep the per-product transform.
+When every scale has ``|l| > 1`` and g has mass 0, the tail from depth n on
+is ``E[exp(i x S_n) rhat(x / P_n)]``, where r is the mass-0 solution of the
+identity for g.  The moments of r follow exactly from the identity, so at
+the first depth where every ``|x / P_n| <= y0`` both routes add the whole
+tail as one term, with r's Taylor polynomial, certified to within
+``1e-16 ||g||_1`` at ``|y| <= y0``, in place of ``hhat``, and stop there.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ from .errors import (
     RegimeMismatch,
     SpectralLeakage,
 )
-from .gridfn import GridFn, affine_step, finite_points, half_grid
+from .gridfn import GridFn, finite_points, half_grid
 from .measure import RandomAffineMeasure, Regime, RegimeReport, classify_regime
 from .perpetuity import CHUNK_ELEMS, ENUMERATION_CAP, estimate_charfn, generator, path_chunks
 
@@ -110,9 +107,16 @@ _CONSECUTIVE_SMALL = 3
 
 @dataclass(frozen=True)
 class TruncationReport:
+    """How the series was cut.  An open series stops after three terms
+    below ``eps`` (``converged``) or at ``n_max``; ``tail_bound`` is None.
+    A closed series counts its whole tail as its last term: ``tail_bound``
+    is that term's certified error, and it is ``converged`` when the bound
+    is at most ``eps``."""
+
     terms_used: int
     last_term_max_abs: float
     converged: bool
+    tail_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -293,70 +297,104 @@ def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray):
 # series summation
 # ---------------------------------------------------------------------------
 
-#: A Monte Carlo depth takes the moment route when its chunk has
-#: ``max|x| / min|P_n|`` at most this.
+#: An expansive series closes at the first depth n with ``max|x| <= _MOMENT_Y0 min|l|^n``.
 _MOMENT_Y0 = 0.25
-#: The moment route's Taylor remainder per depth, relative to ``||h||_1``.
+#: The closing term's certified remainder at ``|y| = _MOMENT_Y0``, relative to ``||g||_1``.
 _MOMENT_TOL = 1e-16
-#: The highest Taylor order the moment route may use.
+#: The highest Taylor order the closing term may use.
 _MOMENT_ORDER_MAX = 40
-#: Largest bound of one Taylor term, relative to ``||h||_1``: a rounding guard.
+#: Largest Taylor term at ``|y| = _MOMENT_Y0``, relative to ``||g||_1``: a rounding guard.
 _MOMENT_TERM_GUARD = 4.0
-#: Rows of the moment route's phase table between exact exps.
-_PHASE_ROWS = 16
 
 
-def _moment_plan(h, xs):
-    """The moment route's Taylor table on the ascending ``xs``, or None.
+@dataclass(frozen=True)
+class _Closure:
+    """The tail of a series from ``depth`` on, as one term: each group or
+    path adds ``rhat(x / P)`` for the mass-0 solution r of the identity for
+    g, through :meth:`fourier`, r's Taylor polynomial
+    ``exp(i y c) sum_k coefs[k] y^k`` about the centre c of g.  ``tail``
+    bounds the term's error, summed over the law of the paths."""
 
-    About the centre ``c`` of ``h``, ``hhat(y) = exp(i y c) sum_k a_k y^k``
-    with ``a_k = i^k m_k / k!``.  K terms leave at most ``M_K |y|^K / K!``,
-    so the order is the least K whose bound at ``|y| = _MOMENT_Y0`` is
-    within ``_MOMENT_TOL ||h||_1``: every depth the route serves has
-    ``|y| <= _MOMENT_Y0``.  There is no plan when no K up to
-    ``_MOMENT_ORDER_MAX`` does, when a term's bound exceeds
-    ``_MOMENT_TERM_GUARD ||h||_1``, when ``_MOMENT_TOL ||h||_1`` is below
-    the smallest normal float (the bounds would underflow to 0 and pass
-    vacuously), or when ``xs`` is not affine.  Returns
-    ``(c, dx, w)`` with ``w[x, k] = a_k (x / max xs)^k``.
-    """
-    dx = affine_step(xs)
-    l1 = h.l1_upper_bound()
-    if dx is None or not _MOMENT_TOL * l1 >= np.finfo(float).tiny:
+    depth: int
+    centre: float
+    coefs: np.ndarray
+    tail: float
+
+    def fourier(self, y):
+        return np.exp(1j * self.centre * y) * np.polyval(self.coefs[::-1], y)
+
+
+def _closure(measure, g, xs, n_max):
+    """The closing term of the series of g on the ascending ``xs >= 0``, or None.
+
+    It needs every ``|l| >= lam > 1`` and a g that passes
+    :func:`zero_mean_check`.  Its depth n0 is the first with
+    ``max xs <= _MOMENT_Y0 lam^n0``, so every ``|x / P_n0| <= y0``.
+
+    The moments of r about the centre c of g follow from the identity, with
+    the shifts ``M' = M + c (1 - L)`` about c and ``mu_0 = m_0(g) = 0``:
+    ``mu_k (1 - E L^-k) = sum_{j<k} C(k, j) E[M'^(k-j) L^-k] mu_j + m_k(g)``.
+    Differentiate ``rhat(y) exp(-i y c) = sum_n E[exp(i y W_n) ghat_c(y / P_n)]``
+    term by term, with ``|W_n| = |S_n + c/P_n - c| <= s = max|m| / (lam - 1)
+    + |c| (1 + 1/lam)``, ``|ghat_c^(k)| <= A_k`` (the absolute moments about
+    c), ``|ghat_c(z)| <= A_1 |z|`` and ``sum_n E|P_n|^-k = G_k = 1 / (1 -
+    E|L|^-k)``: the order-K remainder is at most ``B_K |y|^(K+1)`` for
+    ``|y| <= y0``, with ``B_K (K+1)! = sum_{j<=K} C(K+1, j) s^j A_{K+1-j}
+    G_{K+1-j} + s^(K+1) y0 A_1 G_1``.  K is the least order with
+    ``B_K y0^(K+1) <= _MOMENT_TOL ||g||_1``, and the tail bound is
+    ``B_K max(xs)^(K+1) E|P_n0|^-(K+1)``.
+
+    There is none when n0 exceeds ``n_max``, when no K up to
+    ``_MOMENT_ORDER_MAX`` qualifies, when a Taylor term at y0 exceeds
+    ``_MOMENT_TERM_GUARD ||g||_1``, or when ``_MOMENT_TOL ||g||_1`` is below
+    the smallest normal float (the bounds would underflow and pass)."""
+    ls, ms, ps = measure.scales, measure.shifts, measure.weights
+    lam, l1 = float(np.min(np.abs(ls))), g.l1_upper_bound()
+    if not (lam > 1.0 and _MOMENT_TOL * l1 >= np.finfo(float).tiny and zero_mean_check(g)):
         return None
-    c = h.centre()
-    k = np.arange(_MOMENT_ORDER_MAX + 1)
+    xmax = float(xs[-1]) if len(xs) else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan: no depth
+        steps = np.log(xmax / np.float64(_MOMENT_Y0)) / math.log(lam)
+    if not steps <= n_max:
+        return None
+    depth = int(steps) - 1 if steps > 2 else 1  # then step past rounding
+    while lam ** depth * _MOMENT_Y0 < xmax:
+        depth += 1
+    if depth > n_max:
+        return None
+    c = g.centre()
+    k = np.arange(_MOMENT_ORDER_MAX + 2)
     fact = np.array([math.factorial(v) for v in k], dtype=float)
-    bounds = h.abs_moment_bounds(len(k), c) * _MOMENT_Y0 ** k / fact
-    small = np.flatnonzero(bounds <= _MOMENT_TOL * l1)
-    if not len(small) or not np.all(bounds[:small[0]] <= _MOMENT_TERM_GUARD * l1):
-        return None
-    order = small[0]
-    a = np.array([1, 1j, -1, -1j])[k[:order] % 4] * h.moments(order, c) / fact[:order]
-    return c, dx, a * np.vander(xs / xs[-1], order, increasing=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # absurd parameters give inf or nan
+        s = np.max(np.abs(ms)) / (lam - 1.0) + abs(c) * (1.0 + 1.0 / lam)
+        ag = np.zeros(len(k))  # A_k G_k / k!
+        ag[1:] = g.abs_moment_bounds(len(k), c)[1:] / fact[1:]
+        ag[1:] /= 1.0 - ps @ np.abs(ls)[:, None] ** -k[1:]
+        sk = s ** k / fact
+        # B_K for K <= _MOMENT_ORDER_MAX
+        bound = np.convolve(sk, ag)[1:len(k)] + sk[1:] * _MOMENT_Y0 * ag[1]
+        small = np.flatnonzero(bound * _MOMENT_Y0 ** k[1:] <= _MOMENT_TOL * l1)
+        if not len(small):
+            return None
+        order = small[0]
+        kk = k[:order + 1]
+        # w[k, q] = E[M'^q L^-k] / q!; nu holds m_k(g) / k! until it holds mu_k / k!
+        w = (ps * ls ** -kk[:, None]) @ ((ms + c * (1.0 - ls)) ** kk[:, None] / fact[kk, None]).T
+        nu = g.moments(order + 1, c) / fact[kk]
+        nu[0] = 0.0
+        for n in kk[1:]:
+            nu[n] = (w[n, n:0:-1] @ nu[:n] + nu[n]) / (1.0 - w[n, 0])
+        coefs = np.array([1, 1j, -1, -1j])[kk % 4] * nu
+        if not np.all(np.abs(coefs) * _MOMENT_Y0 ** kk <= _MOMENT_TERM_GUARD * l1):
+            return None
+        weight = ps @ (lam / np.abs(ls)) ** (order + 1)  # E (lam / |L|)^(K+1)
+        tail = bound[order] * (xmax / lam ** depth) ** (order + 1) * weight ** depth
+    return _Closure(depth, c, coefs, float(tail))
 
 
-def _phase_table(xs, z, dx):
-    """``exp(i xs z)`` for the affine ``xs`` (step ``dx``): an exact exp
-    every ``_PHASE_ROWS`` rows, times powers of ``exp(i dx z)`` between, so
-    each phase is at most 15 complex multiplies from an exact one."""
-    rows = min(_PHASE_ROWS, len(xs))
-    powers = _powers(np.exp(1j * (dx * z)), rows)
-    base = np.exp(1j * np.multiply.outer(xs[::rows], z))
-    return (base[:, None] * powers).reshape(-1, len(z))[:len(xs)]
-
-
-def _powers(r, order):
-    """``r**k`` row by row for k < order, one multiply per row."""
-    out = np.empty((order, len(r)), dtype=r.dtype)
-    out[0] = 1.0
-    for k in range(1, order):
-        np.multiply(out[k - 1], r, out=out[k])
-    return out
-
-
-def _terms_mc(measure, h, xs, n_max, sample_count, seed):
-    """Monte Carlo estimates of T_n[h] on ``xs`` for n = 1 .. n_max.
+def _terms_mc(measure, xs, n_max, sample_count, seed):
+    """Per depth n = 1 .. n_max: the map ``h -> `` Monte Carlo estimate of
+    T_n[h] on ``xs``, as :func:`exact_terms` yields the exact one.
 
     Every path is drawn before the first depth is evaluated, so no estimate
     depends on where the caller stops, and the running scale product and
@@ -364,52 +402,35 @@ def _terms_mc(measure, h, xs, n_max, sample_count, seed):
     bit.  Indices are stored depth-major, in the smallest unsigned dtype
     :func:`path_chunks` draws them in.
 
-    Each depth of each chunk takes one of two routes.
-
-    * Direct: ``hhat`` is evaluated once per distinct product, and the
-      phase ``exp(i xs S_n)`` once per distinct partial sum, and both are
-      gathered to the paths: the same floats through the same elementwise
-      ufuncs, so every term is byte-identical to one evaluation per path.
-    * Moment: when :func:`_moment_plan` has a plan for ``h`` on ``xs`` and
-      ``ymax = max|x| / min|P_n| <= _MOMENT_Y0``, the chunk's sum is
-      ``sum_k a_k (x / xmax)^k sum_j exp(i x z_j) (xmax / P_j)^k`` with
-      ``z_j = S_j + c / P_j``: one (frequencies x paths) by (paths x K)
-      matrix product on a phase table from :func:`_phase_table`.  Each
-      depth moves by at most the certified ``1e-16 ||h||_1`` plus rounding.
-
-    Both block the frequencies so a block holds about ``CHUNK_ELEMS``
-    phases.  There is no plan, and every depth is direct, on a non-affine
-    ``xs``, when ``h`` is 0, or when the remainder bound needs more than
-    ``_MOMENT_ORDER_MAX`` terms or a term above the rounding guard.
+    ``hhat`` is evaluated once per distinct product, and the phase
+    ``exp(i xs S_n)`` once per distinct partial sum, and both are gathered
+    to the paths: the same floats through the same elementwise ufuncs, so
+    every term is byte-identical to one evaluation per path.  The
+    frequencies are blocked so a block holds about ``CHUNK_ELEMS`` phases.
     """
     ls, ms = measure.scales, measure.shifts
     chunks = [  # (indices, running product, running phase sum)
         (np.ascontiguousarray(idx.T), np.ones(len(idx)), np.zeros(len(idx)))
         for _, idx in path_chunks(measure, n_max, sample_count, generator(seed))
     ]
-    plan = _moment_plan(h, xs)
     for n in range(n_max):
-        term = np.zeros(len(xs), dtype=complex)
+        states = []
         for idx, p, s in chunks:
             p *= ls[idx[n]]
             s += ms[idx[n]] / p
-            xblock = max(1, CHUNK_ELEMS // len(p))
-            if plan is not None and xs[-1] <= _MOMENT_Y0 * np.min(np.abs(p)):
-                c, dx, w = plan
-                z = s + c / p
-                powers = _powers(xs[-1] / p, w.shape[1]).T
+            states.append((*np.unique(p, return_inverse=True), *np.unique(s, return_inverse=True)))
+
+        def term(h, states=states):
+            out = np.zeros(len(xs), dtype=complex)
+            for u, inv, su, sinv in states:
+                xblock = max(1, CHUNK_ELEMS // len(inv))
                 for start in range(0, len(xs), xblock):
-                    xb = slice(start, start + xblock)
-                    term[xb] += ((_phase_table(xs[xb], z, dx) @ powers) * w[xb]).sum(axis=1)
-                continue
-            u, inv = np.unique(p, return_inverse=True)
-            su, sinv = np.unique(s, return_inverse=True)
-            for start in range(0, len(xs), xblock):
-                xb = xs[start:start + xblock]
-                phases = np.take(np.exp(1j * np.multiply.outer(xb, su)), sinv, axis=1)
-                hh = h.fourier(np.multiply.outer(xb, 1.0 / u))[:, inv]
-                term[start:start + len(xb)] += (phases * hh).sum(axis=1)
-        yield term / sample_count
+                    xb = xs[start:start + xblock]
+                    phases = np.take(np.exp(1j * np.multiply.outer(xb, su)), sinv, axis=1)
+                    hh = h.fourier(np.multiply.outer(xb, 1.0 / u))[:, inv]
+                    out[start:start + len(xb)] += (phases * hh).sum(axis=1)
+            return out / sample_count
+        yield term
 
 
 def sum_series_grid(
@@ -423,10 +444,13 @@ def sum_series_grid(
     """Sum the path-average series over a frequency grid.
 
     Both routes (the exact scale-exponent lattice, Monte Carlo) feed one
-    stopping rule: terms are added until the grid maximum of
-    |T_n[g]| stays below ``eps`` for three consecutive depths (robust
-    against oscillatory terms), or ``n_max`` is reached, which is flagged
-    as non-convergence in the report rather than raised.
+    loop.  When every ``|l| > 1`` and g has mass 0, the series closes: at
+    the first depth n0 <= ``n_max`` with ``max|x| <= y0 min|l|^n0`` (y0 =
+    1/4) the whole tail is added as one certified term, and Monte Carlo
+    draws its paths only n0 deep.  Otherwise terms are added until the grid
+    maximum of |T_n[g]| stays below ``eps`` for three consecutive depths
+    (robust against oscillatory terms), or ``n_max`` is reached, which is
+    flagged as non-convergence in the report rather than raised.
 
     The terms are evaluated once per distinct ``|x|``; since ``g`` is real,
     ``T_n[g](-x) = conj(T_n[g](x))`` and the negative frequencies are
@@ -450,21 +474,24 @@ def _sum_series(measure, g, xs, strategy, eps, n_max):
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     half, mirror = half_grid(xs)
+    closure = _closure(measure, g, half, n_max)
+    depth = n_max if closure is None else closure.depth
     if isinstance(strategy, MonteCarloStrategy):
-        terms = _terms_mc(measure, g, half, n_max, strategy.sample_count, strategy.seed)
+        terms = _terms_mc(measure, half, depth, strategy.sample_count, strategy.seed)
     else:
-        terms = (term(g) for term in exact_terms(measure, half))
+        terms = exact_terms(measure, half)
+    hs = itertools.repeat(g) if closure is None else [g] * (depth - 1) + [closure]
     total = np.zeros(len(half), dtype=complex)
     small_run = 0
-    terms_used = 0
-    last_max = math.inf
-    for terms_used, term in zip(range(1, n_max + 1), terms):
-        total += term
-        last_max = float(np.max(np.abs(term))) if len(half) else 0.0
+    for terms_used, term, h in zip(range(1, depth + 1), terms, hs):
+        value = term(h)
+        total += value
+        last_max = float(np.max(np.abs(value))) if len(half) else 0.0
         small_run = small_run + 1 if last_max < eps else 0
-        if small_run >= _CONSECUTIVE_SMALL:
+        if closure is None and small_run >= _CONSECUTIVE_SMALL:
             return mirror(total), TruncationReport(terms_used, last_max, True)
-    return mirror(total), TruncationReport(terms_used, last_max, False)
+    tail = None if closure is None else closure.tail
+    return mirror(total), TruncationReport(terms_used, last_max, tail is not None and tail <= eps, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -27,23 +27,28 @@ def _inverse_direct(values_w, xs, ts):
 
 def _series_grid_mc_upfront(measure, g, xs, eps, n_max, sample_count, seed):
     """Reference oracle: the Monte Carlo series with every depth evaluated
-    before the stopping rule runs (chunk first, depth second)."""
+    before the stopping rule runs (chunk first, depth second).  A closed
+    series draws its paths to the closing depth and reads the closing
+    term's polynomial there."""
+    closure = rr.spectrum._closure(measure, g, np.unique(np.abs(xs)), n_max)
+    depth = n_max if closure is None else closure.depth
+    hs = [g] * depth if closure is None else [g] * (depth - 1) + [closure]
     rng = generator(seed)
     ls, ms = measure.scales, measure.shifts
-    terms = np.zeros((n_max, len(xs)), dtype=complex)
-    rows = max(1, 2_000_000 // max(n_max, 1))
+    terms = np.zeros((depth, len(xs)), dtype=complex)
+    rows = max(1, 2_000_000 // max(depth, 1))
     done = 0
     while done < sample_count:
         take = min(rows, sample_count - done)
-        idx = rng.choice(len(ls), size=(take, n_max), p=measure.weights)
+        idx = rng.choice(len(ls), size=(take, depth), p=measure.weights)
         prods = np.cumprod(ls[idx], axis=1)
         sums = np.cumsum(ms[idx] / prods, axis=1)
         xblock = max(1, 2_000_000 // take)
-        for n in range(n_max):
+        for n in range(depth):
             for start in range(0, len(xs), xblock):
                 xb = xs[start:start + xblock]
                 phases = np.exp(1j * np.multiply.outer(xb, sums[:, n]))
-                hh = g.fourier(np.multiply.outer(xb, 1.0 / prods[:, n]))
+                hh = hs[n].fourier(np.multiply.outer(xb, 1.0 / prods[:, n]))
                 terms[n, start:start + len(xb)] += (phases * hh).sum(axis=1)
         done += take
     terms /= sample_count
@@ -52,13 +57,15 @@ def _series_grid_mc_upfront(measure, g, xs, eps, n_max, sample_count, seed):
     small_run = 0
     terms_used = 0
     last_max = math.inf
-    for n in range(n_max):
+    for n in range(depth):
         total += terms[n]
         terms_used = n + 1
         last_max = float(np.max(np.abs(terms[n])))
         small_run = small_run + 1 if last_max < eps else 0
-        if small_run >= 3:
+        if closure is None and small_run >= 3:
             return total, rr.TruncationReport(terms_used, last_max, True)
+    if closure is not None:
+        return total, rr.TruncationReport(terms_used, last_max, closure.tail <= eps, closure.tail)
     return total, rr.TruncationReport(terms_used, last_max, False)
 
 
@@ -203,8 +210,8 @@ def _terms_mc_per_path_oracle(measure, h, xs, n_max, sample_count, seed):
 
 class CountingFourier:
     """Forwards ``fourier`` to a closed form, counts the calls and records
-    each argument's shape; every other attribute (the moments the Monte
-    Carlo moment route reads) comes from the closed form uncounted."""
+    each argument's shape; every other attribute (the moments the closing
+    term reads) comes from the closed form uncounted."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -220,26 +227,26 @@ class CountingFourier:
         return getattr(self.fn, name)
 
 
-def _moment_route_depths(measure, g, xs, n_max, samples, seed):
-    """Per depth of one chunk of paths, whether ``_terms_mc`` takes the
-    moment route: ``max|x| <= y0 min|P_n|`` over the half grid of ``xs``."""
-    half = np.unique(np.abs(xs))
-    assert rr.spectrum._moment_plan(g, half) is not None
-    prods = np.cumprod(measure.scales[_draw(measure, n_max, samples, seed)], axis=1)
-    y0 = rr.spectrum._MOMENT_Y0
-    return [bool(half[-1] <= y0 * np.min(np.abs(prods[:, n]))) for n in range(n_max)]
+class _MomentRouteOracle:
+    """Reference oracle: the former per-depth moment route's transform,
+    ``hhat``'s own Taylor polynomial ``exp(i y c) sum_{k<K} a_k y^k`` about
+    the centre c of h with ``a_k = i^k m_k / k!``, K the least order whose
+    remainder ``M_K y0^K / K!`` at ``y0 = _MOMENT_Y0`` is within
+    ``1e-16 ||h||_1``.  It is valid where ``|y| <= y0``."""
 
+    def __init__(self, h):
+        k = np.arange(41)
+        fact = np.array([math.factorial(v) for v in k], dtype=float)
+        bounds = h.abs_moment_bounds(len(k), h.centre()) * rr.spectrum._MOMENT_Y0 ** k / fact
+        order = int(np.flatnonzero(bounds <= 1e-16 * h.l1_upper_bound())[0])
+        self.centre = h.centre()
+        moments = h.moments(order, self.centre) / fact[:order]
+        self.coefs = np.array([1, 1j, -1, -1j])[k[:order] % 4] * moments
+        # rounding: a few ulps of every Taylor term's bound at y0
+        self.error = 1e-16 * h.l1_upper_bound() + 64 * np.finfo(float).eps * bounds.sum()
 
-def _moment_route_tolerance(g, depths):
-    """The most the moment route may move a sum of ``depths`` Monte Carlo
-    terms: per depth its certified Taylor remainder, at most 1e-16 ||g||_1,
-    plus rounding of 256 ulps of the Taylor terms' bound
-    ``sum_k M_k y0^k / k!`` (a phase at most 15 complex multiplies from an
-    exact exp, at most 40 powers, and the sums over paths)."""
-    k = np.arange(41)
-    fact = np.array([math.factorial(v) for v in k], dtype=float)
-    taylor = g.abs_moment_bounds(len(k), g.centre()) * rr.spectrum._MOMENT_Y0 ** k / fact
-    return depths * (1e-16 * g.l1_upper_bound() + 256 * np.finfo(float).eps * taylor.sum())
+    def fourier(self, y):
+        return np.exp(1j * self.centre * y) * np.polyval(self.coefs[::-1], y)
 
 
 def single_atom_term(l, m, ghat, x, n):
@@ -305,7 +312,8 @@ class TestSeriesTerm:
         m = rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)])
         g = rr.indicator(0, 1) - rr.indicator(1, 2)
         exact = series_term(m, g, 3.14, 6)
-        *_, est = _terms_mc(m, g, np.array([3.14]), 6, 200_000, 5)
+        *_, term = _terms_mc(m, np.array([3.14]), 6, 200_000, 5)
+        est = term(g)
         _, stderr = _series_term_mc_single_draw(m, g, 3.14, 6, 200_000, 5)
         assert abs(est[0] - exact) <= 4 * stderr + 1e-4
 
@@ -335,13 +343,16 @@ class TestSumSeries:
         assert abs(total) <= 1e-13
 
     def test_single_atom_partial_sums_match_closed_form(self):
+        # x / 2^2 <= 1/4 closes the series at depth 2; past depth 60 the
+        # hand-expanded terms are below 2^-60 |t g|_1
         m = rr.build_measure([(2, 1, 1.0)])
         g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
         x = 1.0
         values, report = rr.sum_series_grid(m, g, [x])
         total = values[0]
-        manual = sum(single_atom_term(2.0, 1.0, g.fourier, x, n)
-                     for n in range(1, report.terms_used + 1))
+        assert report.terms_used == 2 and report.converged
+        assert report.tail_bound <= 1e-16 * g.l1_upper_bound()
+        manual = sum(single_atom_term(2.0, 1.0, g.fourier, x, n) for n in range(1, 61))
         assert total == pytest.approx(manual, abs=1e-13)
 
     def test_critical_regime_refused(self):
@@ -379,6 +390,8 @@ class TestSumSeries:
 
     @STREAMED
     def test_streamed_monte_carlo_matches_upfront_oracle(self, atoms, samples, n_max):
+        # every scale above 1 in modulus closes the series at depth 5, on
+        # paths drawn 5 deep; the others sum depth by depth
         measure = rr.build_measure(atoms)
         g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
         xs = rr.symmetric_grid(8.0, 5)
@@ -387,14 +400,11 @@ class TestSumSeries:
         oracle, oracle_report = _series_grid_mc_upfront(
             measure, g, xs, 1e-10, n_max, samples, 5
         )
-        # the deep depths take the moment route: equal up to its certified
-        # remainder and rounding, the last term's maximum included
-        tol = _moment_route_tolerance(g, report.terms_used)
+        closed = np.min(np.abs(measure.scales)) > 1.0
         assert report.converged and report.terms_used < n_max
-        assert (report.terms_used, report.converged) == (oracle_report.terms_used,
-                                                         oracle_report.converged)
-        assert abs(report.last_term_max_abs - oracle_report.last_term_max_abs) <= tol
-        assert np.max(np.abs(values - oracle)) <= tol
+        assert (report.terms_used == 5) == closed == (report.tail_bound is not None)
+        assert report == oracle_report
+        assert values.tobytes() == oracle.tobytes()
 
     @STREAMED
     def test_streamed_monte_carlo_without_moment_route_matches_oracle_bytes(
@@ -471,40 +481,47 @@ class TestSumSeries:
         strategy = rr.MonteCarloStrategy(sample_count=500, seed=2)
         xs = rr.symmetric_grid(8.0, 33)
         _, report = rr.sum_series_grid(measure, g, xs, strategy, eps=0.0, n_max=n_max)
-        assert report.terms_used == n_max
-        # one chunk and one frequency block: one call per direct-route
-        # depth, on the 17 distinct |x| times the distinct products P_n of
-        # the drawn paths, and none on a moment-route depth
-        drawn = measure.scales[_draw(measure, n_max, 500, 2)]
+        # every scale above 1 in modulus: the zero-mean gate reads ghat(0)
+        # once, and the series closes at depth 5, where the closing
+        # polynomial takes the place of ghat
+        closed = int(np.min(np.abs(measure.scales)) > 1.0)
+        depth = 5 if closed else n_max
+        assert report.terms_used == depth
+        # one chunk and one frequency block: one call per depth on ghat, on
+        # the 17 distinct |x| times the distinct products P_n of the drawn paths
+        drawn = measure.scales[_draw(measure, depth, 500, 2)]
         prods = np.cumprod(drawn, axis=1)
-        distinct = [len(np.unique(prods[:, n])) for n in range(n_max)]
-        moment = _moment_route_depths(measure, g, xs, n_max, 500, 2)
-        assert g.shapes == [(17, k) for k, m in zip(distinct, moment) if not m]
+        distinct = [len(np.unique(prods[:, n])) for n in range(depth)]
+        assert g.shapes == [()] * closed + [(17, k) for k in distinct[:depth - closed]]
         calls = [g.calls]
-        for _ in rr.spectrum._terms_mc(measure, g, np.unique(np.abs(xs)), n_max, 500, 2):
+        for term in rr.spectrum._terms_mc(measure, np.unique(np.abs(xs)), depth, 500, 2):
+            term(g)
             calls.append(g.calls)
-        assert [b - a for a, b in zip(calls, calls[1:])] == [int(not m) for m in moment]
+        assert [b - a for a, b in zip(calls, calls[1:])] == [1] * depth
         assert distinct[0] <= len(np.unique(measure.scales))
         assert max(distinct) < 500
         # power-of-two factors multiply exactly, so only scales with odd
         # parts 3 and 5 split one exponent count into several products
         counts = np.cumsum(drawn[..., None] == np.unique(measure.scales), axis=1)
-        groups = [len(np.unique(counts[:, n], axis=0)) for n in range(n_max)]
+        groups = [len(np.unique(counts[:, n], axis=0)) for n in range(depth)]
         split = any(d > c for d, c in zip(distinct, groups))
         assert split == (atoms == ROUND_APART)
 
     def test_monte_carlo_evaluates_only_the_depths_it_sums(self):
-        measure = rr.build_measure([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)])
-        g = CountingFourier(rr.gaussian(0, 1) - rr.gaussian(1, 1))
-        strategy = rr.MonteCarloStrategy(sample_count=500, seed=1)
-        xs = rr.symmetric_grid(8.0, 33)
-        _, report = rr.sum_series_grid(measure, g, xs, strategy)
-        # one chunk and one frequency block: one transform call per
-        # direct-route depth summed, none on a moment-route depth
-        assert report.converged
-        moment = _moment_route_depths(measure, g, xs, 60, 500, 1)[:report.terms_used]
-        assert 0 < g.calls == moment.count(False) < report.terms_used < 60
-
+        for atoms, calls in [
+            # closed at depth 5: the zero-mean gate and depths 1 to 4 read ghat
+            ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], 5),
+            # expansive with a scale of 1/2: open, so every depth summed reads ghat
+            ([(4.0, 0.5, 0.6), (3.0, -1.0, 0.3), (0.5, 1.5, 0.1)], None),
+        ]:
+            measure = rr.build_measure(atoms)
+            g = CountingFourier(rr.gaussian(0, 1) - rr.gaussian(1, 1))
+            strategy = rr.MonteCarloStrategy(sample_count=500, seed=1)
+            xs = rr.symmetric_grid(8.0, 33)
+            _, report = rr.sum_series_grid(measure, g, xs, strategy)
+            # one chunk and one frequency block: one transform call per depth
+            assert report.converged
+            assert g.calls == (calls or report.terms_used) <= report.terms_used < 60
 
 ROUTES = {
     "shared": ([(0.5, 1.0, 0.5), (0.5, -1.0, 0.5)], rr.EXACT),
@@ -531,9 +548,11 @@ class TestHalfGrid:
         np.random.default_rng(3).permutation(rr.symmetric_grid(6.0, 25)),
         np.linspace(-6.0, 6.0, 24),
     ], ids=["shuffled", "even-linspace"])
-    def test_matches_pointwise_sum(self, route, grid):
-        # eps = 0 runs every route to n_max, so the grid and each point
-        # sum the same depths
+    def test_matches_pointwise_sum(self, route, grid, monkeypatch):
+        # eps = 0 runs every open series to n_max, so the grid and each point
+        # sum the same depths.  A closed Monte Carlo series draws its paths
+        # as deep as max|x| asks, so it is compared open.
+        monkeypatch.setattr(rr.spectrum, "_MOMENT_Y0", 0.0)
         measure, g, strategy = self._problem(route)
         values, report = rr.sum_series_grid(measure, g, grid, strategy, eps=0.0, n_max=14)
         assert report.terms_used == 14
@@ -688,14 +707,13 @@ def test_once_per_distinct_argument_matches_oracle_bytes(scales, shifts, weights
     for hs, term, oracle in terms:
         for h in [{"g": g, "f": f}[name] for name in hs]:
             assert term(h).tobytes() == oracle(h).tobytes()
-    # two chunks of paths and several frequency blocks, every depth direct
+    # two chunks of paths and several frequency blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rr.perpetuity, "CHUNK_ELEMS", 1000)
         mp.setattr(rr.spectrum, "CHUNK_ELEMS", 1000)
-        mp.setattr(rr.spectrum, "_MOMENT_Y0", 0.0)
-        mc = _terms_mc(measure, g, xs, depth, 300, seed)
+        mc = _terms_mc(measure, xs, depth, 300, seed)
         for term, oracle in zip(mc, _terms_mc_per_path_oracle(measure, g, xs, depth, 300, seed)):
-            assert term.tobytes() == oracle.tobytes()
+            assert term(g).tobytes() == oracle.tobytes()
 
 
 def test_lattice_groups_many_scales_like_rowwise_oracle():
@@ -902,10 +920,9 @@ class TestOncePerDistinctArgument:
         g = rr.gaussian(0, 1) - rr.gaussian(1, 1)
         xs = np.unique(np.abs(rr.symmetric_grid(8.0, 33)))
         counter = CountingNumpy()
-        monkeypatch.setattr(rr.spectrum, "_MOMENT_Y0", 0.0)
         monkeypatch.setattr(rr.spectrum, "np", counter)
-        for _ in _terms_mc(measure, g, xs, 6, 500, 2):
-            pass
+        for term in _terms_mc(measure, xs, 6, 500, 2):
+            term(g)
         # one chunk and one frequency block: the running sums equal
         # np.cumsum of the drawn increments bit for bit
         idx = _draw(measure, 6, 500, 2)
@@ -924,48 +941,182 @@ PRIMITIVES = st.one_of(
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    atoms=st.lists(
-        st.tuples(st.sampled_from([-3.0, -2.0, -1.5, 0.5, 2.0, 3.0, 4.0]),
-                  st.floats(-2.0, 2.0), st.integers(1, 4)),
-        min_size=2, max_size=3,
-    ),
-    parts=st.lists(st.tuples(st.floats(-1.5, 1.5), PRIMITIVES), min_size=1, max_size=3),
-    image=st.tuples(st.sampled_from([-2.0, -0.5, 3.0]), st.floats(-1.0, 1.0)),
-    x_max=st.floats(0.5, 12.0),
-    points=st.integers(2, 40),
-    affine=st.booleans(),
-    seed=st.integers(0, 2**16),
+# Measures whose every scale exceeds 1 in modulus, mixed and negative scales
+# among them, and forcing terms of every primitive kind: the series closes.
+EXPANDING = st.lists(
+    st.tuples(st.sampled_from([-3.0, -2.0, -1.5, 1.5, 2.0, 3.0, 4.0]),
+              st.floats(-2.0, 2.0), st.integers(1, 4)),
+    min_size=1, max_size=3,
 )
-def test_moment_route_matches_direct_route_generated(atoms, parts, image, x_max, points,
-                                                     affine, seed):
-    # expansive measures with mixed and negative scales, a forcing term of
-    # every primitive kind minus an affine image, and small chunks: 300
-    # paths of depth 24 in chunks of 41 rows, frequency blocks of 24 rows
+PARTS = st.lists(st.tuples(st.one_of(st.floats(-1.5, -0.1), st.floats(0.1, 1.5)), PRIMITIVES),
+                 min_size=1, max_size=3)
+
+
+def _expanding_measure(atoms):
     total = sum(w for _, _, w in atoms)
-    measure = rr.build_measure([(l, m, w / total) for l, m, w in atoms])
-    assume(rr.classify_regime(measure).regime is rr.Regime.LOG_EXPANSIVE)
+    return rr.build_measure([(l, m, w / total) for l, m, w in atoms])
+
+
+def _moment_rounding(measure, g, mu, c):
+    """Per order k, a forward rounding bound of r's moments about c from the
+    recursion: with ``W_kq = E[|M'|^q |L|^-k]`` (``M' = M + c (1 - L)``),
+    ``A_k`` the absolute moments of g and ``u`` the unit roundoff, ``e_k (1
+    - E|L|^-k) = sum_{j<k} C(k, j) W_k(k-j) e_j + (k + 2) u (sum_{j<k} C(k,
+    j) W_k(k-j) |mu_j| + A_k)``: each order's own rounding, and the orders
+    before it carried through the same sums."""
+    ls, ps = measure.scales, measure.weights
+    shifts = np.abs(measure.shifts + c * (1.0 - ls))
+    a = g.abs_moment_bounds(len(mu), c)
+    u = np.finfo(float).eps / 2
+    err = np.zeros(len(mu))
+    for k in range(1, len(mu)):
+        w = [math.comb(k, j) * (ps @ (shifts ** (k - j) * np.abs(ls) ** -k)) for j in range(k)]
+        own = (k + 2) * u * (np.dot(w, np.abs(mu[:k])) + a[k])
+        err[k] = (np.dot(w, err[:k]) + own) / (1.0 - ps @ np.abs(ls) ** -k)
+    return err
+
+
+@settings(max_examples=30, deadline=None)
+@given(atoms=EXPANDING, parts=PARTS, mean=st.floats(-1.0, 1.0), x_max=st.floats(0.5, 6.0),
+       tol=st.sampled_from([1e-2, 1e-4, 1e-7]))
+def test_closure_moments_match_manufactured_solution_generated(atoms, parts, mean, x_max, tol):
+    # f of mass 0 solves the identity for its manufactured g, so the mass-0
+    # solution r is f, and the recursion's moments are f's in closed form
+    measure = _expanding_measure(atoms)
+    f = rr.ClosedFormFn(tuple(t for c, p in parts for t in (c * p).terms))
+    q = rr.gaussian(mean, 1.0)
+    f = f - (f.mass() / q.mass()) * q
+    g = rr.manufacture_inhomogeneity(measure, f)
+    # a part equal to q cancels f to rounding noise, which leaves no problem
+    assume(g.l1_upper_bound() > 1e-6 * f.l1_upper_bound())
+    closure = rr.spectrum._closure(measure, g, np.array([0.0, 1.0]), 60)
+    lam = np.min(np.abs(measure.scales))
+    assert closure is not None and lam ** (closure.depth - 1) < 4.0 <= lam ** closure.depth
+    k = np.arange(len(closure.coefs))
+    fact = np.array([math.factorial(v) for v in k], dtype=float)
+    mu = (closure.coefs / np.array([1, 1j, -1, -1j])[k % 4]).real * fact
+    want = f.moments(len(k), closure.centre)
+    # rounding: the recursion's forward bound, and 8 (k + 1) ulps of f's own
+    # absolute moments for f's closed form
+    rounding = _moment_rounding(measure, g, want, closure.centre)
+    rounding += 8 * (k + 1) * np.finfo(float).eps * f.abs_moment_bounds(len(k), closure.centre)
+    assert np.all(np.abs(mu - want) <= rounding)
+    # x = 0 alone closes at depth 1 with r's mass, exactly 0, in both routes
+    for strategy in (rr.EXACT, rr.MonteCarloStrategy(50, seed=1)):
+        values, report = rr.sum_series_grid(measure, g, [0.0], strategy)
+        assert values[0] == 0.0 and report.terms_used == 1 and report.tail_bound == 0.0
+    # a loose tolerance picks a low order K, so the closing term's error is
+    # far above rounding: the closed series stays within its reported bound
+    xs = np.linspace(0.0, x_max, 9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rr.spectrum, "_MOMENT_TOL", tol)
+        values, report = rr.sum_series_grid(measure, g, xs, eps=0.0)
+    # rounding: 64 ulps of ||g||_1 per depth summed, and of ||f||_1 for fhat
+    l1 = report.terms_used * g.l1_upper_bound() + f.l1_upper_bound()
+    rounding = 64 * np.finfo(float).eps * l1
+    assert np.max(np.abs(values - (f.fourier(xs) - g.fourier(xs)))) <= report.tail_bound + rounding
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.sampled_from([-3.0, -2.0, 2.0, 3.0, 4.0]),
+                             st.floats(-2.0, 2.0), st.integers(1, 4)),
+                   min_size=1, max_size=3),
+    parts=PARTS,
+    image=st.tuples(st.sampled_from([-2.0, -0.5, 3.0]), st.floats(-1.0, 1.0)),
+    x_max=st.floats(0.5, 6.0),
+    points=st.integers(2, 20),
+)
+def test_moment_route_matches_direct_route_generated(atoms, parts, image, x_max, points):
+    # the closed series (r's moments) against the open lattice (ghat at
+    # every depth, eps = 0) and the former per-depth moment route (ghat's
+    # moments).  Every |l| >= 2 keeps the open lattice short: |T_n[g](x)| <= A_1 |x| q^n
+    # with q = E|L|^-1 <= 1/2, so 60 depths leave A_1 |x| q^61 / (1 - q)
+    measure = _expanding_measure(atoms)
     f = rr.ClosedFormFn(tuple(t for c, p in parts for t in (c * p).terms))
     g = f - rr.affine_image(f, *image)
-    rng = np.random.default_rng(seed)
-    if affine:
-        xs = rr.symmetric_grid(x_max, 2 * points + 1)
-    else:
-        xs = np.sort(rng.uniform(-x_max, x_max, points))
-    strategy = rr.MonteCarloStrategy(sample_count=300, seed=seed)
+    xs = np.linspace(0.0, x_max, points)
+    values, report = rr.sum_series_grid(measure, g, xs, eps=0.0)
+    closure = rr.spectrum._closure(measure, g, xs, 60)
+    assert closure is not None and report.tail_bound == closure.tail
+    assert report.terms_used == closure.depth and report.converged == (closure.tail == 0.0)
+    assert report.tail_bound <= 1e-16 * g.l1_upper_bound()
+    # the open lattice to depth 60, and the former per-depth moment route,
+    # which reads ghat's own Taylor polynomial from the closing depth on
+    oracle = _MomentRouteOracle(g)
+    direct, moment = np.zeros(points, complex), np.zeros(points, complex)
+    for n, term in zip(range(1, 61), exact_terms(measure, xs)):
+        value = term(g)
+        direct += value
+        moment += value if n < closure.depth else term(oracle)
+    q = measure.weights @ np.abs(measure.scales) ** -1.0
+    remainder = g.abs_moment_bounds(2)[1] * x_max * q ** 61 / (1.0 - q)
+    # rounding: 64 ulps of ||g||_1 per depth summed
+    rounding = 64 * 60 * np.finfo(float).eps * g.l1_upper_bound()
+    assert np.max(np.abs(values - direct)) <= report.tail_bound + remainder + rounding
+    assert np.max(np.abs(moment - direct)) <= 60 * oracle.error + remainder + rounding
+
+
+@settings(max_examples=15, deadline=None)
+@given(atoms=EXPANDING, parts=PARTS,
+       image=st.tuples(st.sampled_from([-2.0, -0.5, 3.0]), st.floats(-1.0, 1.0)),
+       x_max=st.floats(0.5, 12.0), points=st.integers(2, 20), seed=st.integers(0, 2**16))
+def test_closed_monte_carlo_matches_closed_exact_generated(atoms, parts, image, x_max, points,
+                                                           seed):
+    # 300 paths drawn only as deep as the closing depth, in chunks of 1000
+    # indices; the standard error comes from the per-path sums of the same draw
+    measure = _expanding_measure(atoms)
+    f = rr.ClosedFormFn(tuple(t for c, p in parts for t in (c * p).terms))
+    g = f - rr.affine_image(f, *image)
+    xs = rr.symmetric_grid(x_max, 2 * points + 1)
+    exact, exact_report = rr.sum_series_grid(measure, g, xs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rr.perpetuity, "CHUNK_ELEMS", 1000)
         mp.setattr(rr.spectrum, "CHUNK_ELEMS", 1000)
-        values, report = rr.sum_series_grid(measure, g, xs, strategy, eps=0.0, n_max=24)
-        mp.setattr(rr.spectrum, "_MOMENT_Y0", 0.0)
-        direct, direct_report = rr.sum_series_grid(measure, g, xs, strategy, eps=0.0, n_max=24)
-    assert report.terms_used == direct_report.terms_used == 24
-    if rr.spectrum._moment_plan(g, np.unique(np.abs(xs))) is None:
-        # a non-affine grid (or a g too wide for the route) keeps the direct kernel
-        assert values.tobytes() == direct.tobytes()
+        mc, report = rr.sum_series_grid(measure, g, xs, rr.MonteCarloStrategy(300, seed))
+    closure = rr.spectrum._closure(measure, g, np.unique(np.abs(xs)), 60)
+    assert report.terms_used == exact_report.terms_used == closure.depth
+    assert report.tail_bound == exact_report.tail_bound == closure.tail
+    rng = generator(seed)
+    idx = np.concatenate([rng.choice(len(measure), size=(min(1000 // closure.depth, 300 - i),
+                                                         closure.depth), p=measure.weights)
+                          for i in range(0, 300, 1000 // closure.depth)])
+    prods = np.cumprod(measure.scales[idx], axis=1)
+    sums = np.cumsum(measure.shifts[idx] / prods, axis=1)
+    paths = np.zeros((len(xs), 300), dtype=complex)
+    for n, h in enumerate([g] * (closure.depth - 1) + [closure]):
+        paths += np.exp(1j * np.multiply.outer(xs, sums[:, n])) * h.fourier(
+            np.multiply.outer(xs, 1.0 / prods[:, n]))
+    stderr = np.sqrt((paths.real.var(axis=1) + paths.imag.var(axis=1)) / 300)
+    assert np.max(np.abs(mc - paths.mean(axis=1))) <= 1e-13 * g.l1_upper_bound()
+    assert np.all(np.abs(mc - exact) <= 5 * stderr + 1e-13 * g.l1_upper_bound())
+
+
+@pytest.mark.parametrize("strategy", [rr.EXACT, rr.MonteCarloStrategy(300, seed=4)],
+                         ids=["exact", "mc"])
+@pytest.mark.parametrize("atoms, g, n_max", [
+    ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (0.5, 1.5, 0.25)],
+     rr.gaussian(0, 1) - rr.gaussian(1, 1), 20),
+    ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)], rr.gaussian(0, 1), 20),
+    ([(2.0, 0.5, 0.5), (3.0, -1.0, 0.25), (4.0, 1.5, 0.25)],
+     rr.gaussian(0, 1) - rr.gaussian(1, 1), 4),
+], ids=["scale-below-one", "nonzero-mean", "n-max-below-closing-depth"])
+def test_no_closure_keeps_direct_route_bytes(atoms, g, n_max, strategy):
+    # max|x| = 8 would close the series at depth 5
+    measure = rr.build_measure(atoms)
+    xs = rr.symmetric_grid(8.0, 17)
+    assert rr.spectrum._closure(measure, g, np.unique(np.abs(xs)), n_max) is None
+    values, report = rr.sum_series_grid(measure, g, xs, strategy, eps=0.0, n_max=n_max)
+    assert report == rr.TruncationReport(n_max, report.last_term_max_abs, False, None)
+    half = np.unique(np.abs(xs))
+    if strategy is rr.EXACT:
+        total = np.zeros(len(half), dtype=complex)
+        for _, term in zip(range(n_max), _exact_terms_loop_oracle(measure, half)):
+            total += term(g)
+        oracle = rr.gridfn.half_grid(xs)[1](total)
     else:
-        assert np.max(np.abs(values - direct)) <= _moment_route_tolerance(g, 24)
+        oracle, _ = _series_grid_mc_upfront(measure, g, xs, 0.0, n_max, 300, 4)
+    assert values.tobytes() == oracle.tobytes()
 
 
 class TestForwardCharfnProduct:
