@@ -12,12 +12,14 @@ pointwise values, the transform ``fhat(x) = int exp(i t x) f(t) dt`` (no
 normalization factor; the inverse in the spectrum module carries 1/(2 pi)),
 the running integral ``int_{-inf}^x f``, the L1 bound and the moments
 ``int (t - c)^k f`` with bounds on the absolute ones are all available in
-closed form, without quadrature error.  The transform evaluates all terms
-of one kind in one array pass over their stacked constants, in bounded
-blocks, and adds the rows in term order, so each value has the bytes of
-its own term's formula.  Each primitive is symmetric about
-its centre, so its moments expand binomially from its absolute central
-moments with no cancelling terms.
+closed form, without quadrature error, and so is, per kind, a non-increasing
+envelope ``E >= |fhat|`` on y > 0 with ``Sbar(y) >= sum_k E(y / lam^k)``
+(``_envelope``) and a y from which ``Sbar`` is below a budget (``_reach``).
+The transform evaluates all terms of one kind in one array pass over their
+stacked constants, in bounded blocks, and adds the rows in term order, so
+each value has the bytes of its own term's formula.  Each primitive is
+symmetric about its centre, so its moments expand binomially from its
+absolute central moments with no cancelling terms.
 
 The half-open indicator convention makes halving identities such as
 ``chi_[0,1) == chi_[0,1/2) + chi_[1/2,1)`` hold pointwise everywhere, not
@@ -139,6 +141,12 @@ class Indicator:
         # (e^{ibx} - e^{iax}) / (ix), written via sinc so x = 0 is exact.
         return width * np.sinc(width * x / (2.0 * np.pi)) * np.exp(jmid * x)
 
+    def _envelope(self, y, lam):
+        return np.minimum(self.b - self.a, 2.0 / y), 2.0 / (y * (1.0 - lam))
+
+    def _reach(self, budget, lam):
+        return 2.0 / (budget * (1.0 - lam))
+
     def integral_to(self, x):
         x = np.asarray(x, dtype=float)
         return np.clip(x - self.a, 0.0, self.b - self.a)
@@ -190,6 +198,13 @@ class Triangle:
     @staticmethod
     def transform(w, jcenter, x):
         return w * np.sinc(w * x / (2.0 * np.pi)) ** 2 * np.exp(jcenter * x)
+
+    def _envelope(self, y, lam):
+        w = self.halfwidth
+        return np.minimum(w, 4.0 / (w * y * y)), 4.0 / (w * y * y * (1.0 - lam * lam))
+
+    def _reach(self, budget, lam):
+        return np.sqrt(4.0 / (self.halfwidth * budget * (1.0 - lam * lam)))
 
     def integral_to(self, x):
         x = np.asarray(x, dtype=float)
@@ -244,7 +259,17 @@ class Gaussian:
 
     @staticmethod
     def transform(amp, jmean, s, x):
-        return amp * np.exp(jmean * x - 0.5 * (s * x) ** 2)
+        with np.errstate(over="ignore"):  # (s x)^2 = inf from |s x| ~ 1.3e154 on: exp gives 0
+            return amp * np.exp(jmean * x - 0.5 * (s * x) ** 2)
+
+    def _envelope(self, y, lam):  # the sum's term ratio is at most exp(-a (lam^-2 - 1))
+        a = 0.5 * (self.stddev * y) ** 2
+        e = self.mass() * np.exp(-a)
+        return e, e / -np.expm1(-a * (lam ** -2 - 1.0))
+
+    def _reach(self, budget, lam):  # mass e^-a1 < budget; e^-a pays 1 / (1 - e^(-a1 q))
+        a1 = np.log1p(self.mass() / budget)
+        return np.sqrt(2.0 * (a1 - np.log(-np.expm1(-a1 * (lam ** -2 - 1.0))))) / self.stddev
 
     def integral_to(self, x):
         x = np.asarray(x, dtype=float)
@@ -353,6 +378,13 @@ class ClosedFormFn:
 
     def l1_upper_bound(self) -> float:
         return math.fsum(abs(c) * prim.mass() for c, prim in self.terms)
+
+    def _reach(self, budget: float, lam: float) -> float:
+        """A y* with ``sum |c| Sbar(y) <= budget > 0`` for ``y >= y*``, each term's share
+        inverted in closed form (certified, not least); inf or nan if absurd."""
+        share = np.float64(budget) / len(self.terms)
+        with np.errstate(all="ignore"):
+            return float(np.max([p._reach(share / abs(c), lam) for c, p in self.terms if c]))
 
     # -- moments --------------------------------------------------------------
 

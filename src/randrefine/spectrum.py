@@ -47,6 +47,11 @@ identity for g.  The moments of r follow exactly from the identity, so at
 the first depth where every ``|x / P_n| <= y0`` both routes add the whole
 tail as one term, with r's Taylor polynomial, certified to within
 ``1e-16 ||g||_1`` at ``|y| <= y0``, in place of ``hhat``, and stop there.
+
+When every ``|l| <= lam < 1`` and ``eps > 0``, ``|P_n| <= lam^n``, so with a
+non-increasing ``E >= |ghat|`` the terms from depth n on at x sum to at most
+``sum_{k>=n} E(x / lam^k) <= 1e-16 ||g||_1`` once ``x >= y* lam^n``: the lattice
+carries only the x below that, and as columns evolve apart, each keeps its bytes.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ class TruncationReport:
     below ``eps`` (``converged``) or at ``n_max``; ``tail_bound`` is None.
     A closed series counts its whole tail as its last term: ``tail_bound``
     is that term's certified error, and it is ``converged`` when the bound
-    is at most ``eps``."""
+    is at most ``eps``.  A pruned series that runs out of ``x > 0`` reports
+    its drop bound, or inf when the term at ``x = 0`` is not below ``eps``."""
 
     terms_used: int
     last_term_max_abs: float
@@ -207,9 +213,10 @@ def _group_plan(keys: np.ndarray, depth: int):
 _LATTICE_BLOCK = 1 << 12
 
 
-def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
+def _lattice(measure: RandomAffineMeasure, xs: np.ndarray, live=None):
     """Per depth n = 1, 2, ...: the products ``P_c`` and phase averages
-    ``Phi_c = E[exp(i xs S_n); c]`` of the paths grouped by scale exponents c.
+    ``Phi_c = E[exp(i xs S_n); c]`` of the paths grouped by scale exponents c,
+    on the first ``live[n - 1]`` of ``xs`` (and two at least), or all of them.
     The next increment ``M / (P_c L)`` depends on c only, so ``Phi_{c+e_k}``
     sums ``p_i exp(i m_i xs / P_{c+e_k}) Phi_c`` over the atoms of scale
     ``s_k``: exact, and one group for one scale.
@@ -221,7 +228,7 @@ def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
     several scales share one array pass (the j-th atom of each scale at
     once), in blocks of whole scales of at most ``_LATTICE_BLOCK`` values
     where one scale fits.  Depths over the cap are refused before their
-    plan is built."""
+    plan is built; the cap counts groups times carried frequencies."""
     scales = _distinct(measure.scales)
     shifts = [[(m, p) for l, m, p in measure.atoms if l == s] for s in scales]
     d = len(scales)
@@ -236,18 +243,21 @@ def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
     keys, prods, phis = np.zeros((1, d), int), np.ones(1), np.ones((1, len(xs)), complex)
     for depth in itertools.count(1):
         groups = math.comb(depth + d - 1, d - 1)
-        if groups * max(len(xs), 1) > ENUMERATION_CAP:
+        # two at least: numpy multiplies a lone element in place without FMA
+        cols = len(xs) if live is None else max(int(live[depth - 1]), min(2, len(xs)))
+        if groups * max(cols, 1) > ENUMERATION_CAP:
             raise EnumerationTooLarge(
-                f"{groups} scale groups x {len(xs)} frequencies at depth {depth} exceed the "
-                f"cap {ENUMERATION_CAP}; use fewer x_points, a larger eps or --strategy mc")
+                f"{groups} scale groups x {cols} frequencies at depth {depth} exceed the "
+                f"cap {ENUMERATION_CAP} (frequencies whose certified tail is below rounding "
+                "are not counted); use fewer x_points, a larger eps or --strategy mc")
         target, first, keys = _group_plan(keys, depth)
         prods = np.multiply.outer(scales, prods).ravel()[first]
-        u = xs / prods[:, None]
+        u, phis = xs[:cols] / prods[:, None], phis[:, :cols]
         # -0 + v is v for every float v, so each group adds its steps onto
         # -0 in scale order: its first step is copied, the rest are added
-        new = np.full((groups, len(xs)), complex(-0.0, -0.0))
+        new = np.full((groups, cols), complex(-0.0, -0.0))
         rows = len(phis)
-        block = max(1, _LATTICE_BLOCK // max(rows * len(xs), 1))
+        block = max(1, _LATTICE_BLOCK // max(rows * cols, 1))
         for k in range(0, d, block):
             ks = slice(k, k + block)
             t = target[k * rows:(k + block) * rows].reshape(-1, rows)
@@ -263,7 +273,7 @@ def _lattice(measure: RandomAffineMeasure, xs: np.ndarray):
         yield prods, phis
 
 
-def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray):
+def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray, live):
     """Per depth n = 1, 2, ...: the map ``h -> T_n[h] = sum_c hhat(xs / P_c)
     Phi_c`` over the groups of :func:`_lattice`, summed in group order.
 
@@ -272,23 +282,24 @@ def exact_terms(measure: RandomAffineMeasure, xs: np.ndarray):
     and the rest come from one ``h.fourier`` call.  Only that latest term's
     rows are kept, so the memory grows by at most one depth of rows."""
     latest = None  # (h, distinct products, their hhat rows)
-    for prods, phis in _lattice(measure, xs):
+    for prods, phis in _lattice(measure, xs, live):
         u, inv = np.unique(prods, return_inverse=True)
 
-        def term(h, u=u, inv=inv, phis=phis):
+        def term(h, u=u, inv=inv, phis=phis, xs=xs[:phis.shape[1]]):
             nonlocal latest
             if latest is not None and latest[0] is h:
                 _, v, old = latest
                 at = np.minimum(np.searchsorted(v, u), len(v) - 1)
-                rows = old[at]  # right where the product recurs
+                rows = old[at, :len(xs)]  # right where the product recurs
                 new = v[at] != u
                 if new.any():
                     rows[new] = h.fourier(xs / u[new, None])
             else:
                 rows = h.fourier(xs / u[:, None])
             latest = (h, u, rows)
-            # a cumulative sum adds the rows in order for every grid size
-            acc = phis * rows[inv]
+            # phis first at every size (``*`` computes a large product in its
+            # temporary operand as rows times phis); the rows add in order
+            acc = np.multiply(phis, rows[inv])
             return np.cumsum(acc, axis=0, out=acc)[-1].copy()
         yield term
 
@@ -392,6 +403,17 @@ def _closure(measure, g, xs, n_max):
     return _Closure(depth, c, coefs, float(tail))
 
 
+def _live(measure, g, xs, eps, depth):
+    """``(live, budget)``: how many ascending ``xs >= 0`` lie below ``y*
+    lam^n`` at depth n = 1 .. depth + 1 (module docstring), and the bound on
+    the terms dropped at each; ``(None, None)`` with some ``|l| >= 1``, at
+    ``eps = 0`` or, as in :func:`_closure`, when the budget is subnormal."""
+    lam, budget = float(np.max(np.abs(measure.scales))), _MOMENT_TOL * g.l1_upper_bound()
+    if not (lam < 1.0 and eps > 0 and budget >= np.finfo(float).tiny):
+        return None, None
+    return np.searchsorted(xs, g._reach(budget, lam) * lam ** np.arange(1.0, depth + 2)), budget
+
+
 def _terms_mc(measure, xs, n_max, sample_count, seed):
     """Per depth n = 1 .. n_max: the map ``h -> `` Monte Carlo estimate of
     T_n[h] on ``xs``, as :func:`exact_terms` yields the exact one.
@@ -450,7 +472,9 @@ def sum_series_grid(
     draws its paths only n0 deep.  Otherwise terms are added until the grid
     maximum of |T_n[g]| stays below ``eps`` for three consecutive depths
     (robust against oscillatory terms), or ``n_max`` is reached, which is
-    flagged as non-convergence in the report rather than raised.
+    flagged as non-convergence in the report rather than raised.  With every
+    ``|l| < 1`` and ``eps > 0`` that maximum reads the frequencies the lattice
+    still carries (module docstring), and it stops when no ``x > 0`` is left.
 
     The terms are evaluated once per distinct ``|x|``; since ``g`` is real,
     ``T_n[g](-x) = conj(T_n[g](x))`` and the negative frequencies are
@@ -477,20 +501,24 @@ def _sum_series(measure, g, xs, strategy, eps, n_max):
     closure = _closure(measure, g, half, n_max)
     depth = n_max if closure is None else closure.depth
     if isinstance(strategy, MonteCarloStrategy):
-        terms = _terms_mc(measure, half, depth, strategy.sample_count, strategy.seed)
+        live, terms = None, _terms_mc(measure, half, depth, strategy.sample_count, strategy.seed)
     else:
-        terms = exact_terms(measure, half)
+        live, budget = _live(measure, g, half, eps, depth)
+        terms = exact_terms(measure, half, live)
     hs = itertools.repeat(g) if closure is None else [g] * (depth - 1) + [closure]
+    tail = None if closure is None else closure.tail
     total = np.zeros(len(half), dtype=complex)
     small_run = 0
     for terms_used, term, h in zip(range(1, depth + 1), terms, hs):
         value = term(h)
-        total += value
-        last_max = float(np.max(np.abs(value))) if len(half) else 0.0
+        total[:len(value)] += value
+        last_max = float(np.max(np.abs(value))) if len(value) else 0.0
         small_run = small_run + 1 if last_max < eps else 0
         if closure is None and small_run >= _CONSECUTIVE_SMALL:
             return mirror(total), TruncationReport(terms_used, last_max, True)
-    tail = None if closure is None else closure.tail
+        if live is not None and not half[:live[terms_used]].any():  # no x > 0 left
+            tail = budget if np.all(np.abs(value[half[:len(value)] == 0]) < eps) else math.inf
+            break
     return mirror(total), TruncationReport(terms_used, last_max, tail is not None and tail <= eps, tail)
 
 

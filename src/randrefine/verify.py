@@ -138,7 +138,7 @@ def finite_depth_residual(
         raise ValueError("depth must be >= 1")
     xs = finite_points(x_probes, "x_probes")
     rhs = g.fourier(xs)
-    for n, term in enumerate(itertools.islice(exact_terms(measure, xs), depth), 1):
+    for n, term in enumerate(itertools.islice(exact_terms(measure, xs, None), depth), 1):
         rhs = rhs + term(f if n == depth else g)
     return float(np.max(np.abs(f.fourier(xs) - rhs), initial=0.0))
 

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import randrefine as rr
@@ -188,6 +188,51 @@ def test_fourier_linearity(a, b, x):
     lhs = combo.fourier(x)
     rhs = a * u.fourier(x) + b * v.fourier(x)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _primitive(kind, centre, width):
+    return {"indicator": Indicator(centre - width, centre + width),
+            "triangle": Triangle(centre, width), "gaussian": Gaussian(centre, width)}[kind]
+
+
+KIND_NAMES = st.sampled_from(["gaussian", "indicator", "triangle"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=KIND_NAMES, centre=st.floats(-50.0, 50.0), width=st.floats(1e-3, 20.0),
+       y=st.floats(1e-3, 1e4), step=st.floats(1.0, 4.0), lam=st.floats(0.01, 0.999))
+def test_envelope_bounds_transform_and_its_scaled_sum(kind, centre, width, y, step, lam):
+    prim = _primitive(kind, centre, width)
+    envelope, tail = prim._envelope(np.array([y, step * y]), lam)
+    # E >= |fhat| to rounding, and E is non-increasing
+    assert abs(rr.ClosedFormFn(((1.0, prim),)).fourier(y)) <= envelope[0] * (1.0 + 1e-12)
+    assert envelope[1] <= envelope[0]
+    # Sbar(y) >= sum_{k<K} E(y / lam^k), summed while y / lam^k <= 1e150
+    # (up to 2,000 terms)
+    ks = np.arange(min(2000, int(math.log(1e150 / y) / -math.log(lam)) + 1))
+    brute = math.fsum(prim._envelope(y / lam ** ks, lam)[0])
+    assert tail[0] >= brute * (1.0 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=KIND_NAMES, centre=st.floats(-50.0, 50.0), width=st.floats(1e-3, 20.0),
+       budget=st.floats(1e-300, 1e3), lam=st.floats(0.01, 0.999))
+def test_reach_spends_at_most_the_budget(kind, centre, width, budget, lam):
+    prim = _primitive(kind, centre, width)
+    y = prim._reach(np.float64(budget), lam)
+    assert 0.0 < y < math.inf
+    assert prim._envelope(y, lam)[1] <= budget * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fn=mixed_closed_forms(), lam=st.floats(0.01, 0.999))
+def test_closed_form_reach_spends_at_most_the_budget(fn, lam):
+    # the solver's budget: 1e-16 of the L1 bound, shared by the terms
+    budget = 1e-16 * fn.l1_upper_bound()
+    assume(budget >= np.finfo(float).tiny)
+    y = fn._reach(budget, lam)
+    spent = math.fsum(abs(c) * prim._envelope(y, lam)[1] for c, prim in fn.terms if c)
+    assert spent <= budget * (1.0 + 1e-12)
 
 
 class TestAntiderivative:

@@ -71,7 +71,7 @@ def _series_grid_mc_upfront(measure, g, xs, eps, n_max, sample_count, seed):
 
 def series_term(measure, h, x, n):
     """The exact depth-n path average T_n[h](x), read off :func:`exact_terms`."""
-    terms = exact_terms(measure, np.array([float(x)]))
+    terms = exact_terms(measure, np.array([float(x)]), None)
     return complex(next(itertools.islice(terms, n - 1, None))(h)[0])
 
 
@@ -128,9 +128,12 @@ def _shared_products_oracle(measure, xs):
         yield pw, phase
 
 
-def _shared_exact_terms_oracle(measure, xs):
-    for pw, phase in _shared_products_oracle(measure, xs):
-        yield lambda h, pw=pw, phase=phase: phase * h.fourier(xs / pw)
+def _shared_exact_terms_oracle(measure, xs, live):
+    """The former shared-scale terms, on the first ``live[n - 1]`` of ``xs``
+    at depth n, as :func:`exact_terms` takes them."""
+    for n, (pw, phase) in enumerate(_shared_products_oracle(measure, xs)):
+        cols = len(xs) if live is None else live[n]
+        yield lambda h, pw=pw, phase=phase, cols=cols: (phase * h.fourier(xs / pw))[:cols]
 
 
 def _forward_charfn_product_oracle(measure, xs, tol=1e-15, max_factors=2000):
@@ -568,7 +571,7 @@ def assert_lattice_matches_walk(measure, xs, depth):
     # term may be a small remainder of cancelling paths, or exactly 0 by
     # symmetry while its summands are O(1); subnormals carry no precision
     scale = max(float(np.max(abs_sums)), np.finfo(float).tiny)
-    for n, (term, expected) in enumerate(zip(rr.spectrum.exact_terms(measure, xs), oracle), 1):
+    for n, (term, expected) in enumerate(zip(rr.spectrum.exact_terms(measure, xs, None), oracle), 1):
         assert np.max(np.abs(term(h) - expected)) <= 1e-14 * scale, n
 
 
@@ -633,6 +636,47 @@ class TestScaleLattice:
             next(lattice)
         with pytest.raises(rr.EnumerationTooLarge, match=refusal):
             rr.sum_series_grid(measure, g, rr.symmetric_grid(2.5, 9), eps=0.0)
+
+    def test_cap_counts_live_frequencies(self, monkeypatch):
+        # at the CLI grid the probe carries 333 of its 2,049 frequencies to
+        # depth 1 and 250 to depth 2, so a cap of 1,000 is first passed there
+        monkeypatch.setattr(rr.spectrum, "ENUMERATION_CAP", 1000)
+        measure = rr.build_measure([(0.5, 1.0, 0.5), (0.25, -1.0, 0.25), (0.75, 0.5, 0.25)])
+        g = rr.manufacture_inhomogeneity(measure, rr.gaussian(0, 1) - rr.gaussian(2, 1))
+        xs = rr.symmetric_grid(40.0, 4097)
+        live, _ = rr.spectrum._live(measure, g, np.unique(np.abs(xs)), 1e-10, 60)
+        assert list(live[:2]) == [333, 250]
+        with pytest.raises(rr.EnumerationTooLarge, match=r"^6 scale groups x 250 frequencies "
+                           r"at depth 2 exceed the cap 1000 \(frequencies whose certified"):
+            rr.sum_series_grid(measure, g, xs)
+        # eps = 0 carries every frequency: 3 groups x 2,049 at depth 1
+        with pytest.raises(rr.EnumerationTooLarge, match=r"^3 scale groups x 2049 frequencies"):
+            rr.sum_series_grid(measure, g, xs, eps=0.0)
+
+    @pytest.mark.parametrize("atoms, bound", [
+        ([(0.5, 1.0, 0.5), (0.25, -1.0, 0.25), (0.75, 0.5, 0.25)], 1e-13),
+        # multiplicatively independent scales, so no group recurs: 4,960
+        # groups x 2,049 frequencies at depth 29 would pass the cap
+        ([(0.3, 0.0, 0.25), (0.5, 0.0, 0.25), (0.7, 0.0, 0.25), (0.9, 0.0, 0.25)], 1e-12),
+    ], ids=["probe", "four-scale"])
+    def test_solves_at_cli_grid(self, atoms, bound):
+        measure = rr.build_measure(atoms)
+        f = rr.gaussian(0, 1) - rr.gaussian(2, 1)
+        g = rr.manufacture_inhomogeneity(measure, f)
+        xs = rr.symmetric_grid(40.0, 4097)
+        spec = rr.solve_spectrum(measure, g, 0.0, xs)
+        assert spec.truncation.converged
+        assert np.max(np.abs(spec.values - f.fourier(xs))) <= bound
+
+    def test_deep_series_keeps_overflow_quiet(self):
+        # by depth 300 |x / P| reaches 8 / 0.3^300 ~ 6e157, where the
+        # Gaussian's (s y)^2 overflows to inf and its transform is 0; a
+        # RuntimeWarning fails the suite
+        measure = rr.build_measure([(-0.6, 1.0, 0.5), (0.3, -0.7, 0.5)])
+        g = rr.manufacture_inhomogeneity(measure, rr.gaussian(0, 1) - rr.gaussian(1, 1))
+        values, report = rr.sum_series_grid(measure, g, rr.symmetric_grid(8.0, 17), eps=0.0,
+                                            n_max=300)
+        assert report.terms_used == 300 and np.all(np.isfinite(values))
 
     def test_probe_measure_solves(self):
         measure = rr.build_measure([(0.5, 1.0, 0.5), (0.25, -1.0, 0.25), (0.75, 0.5, 0.25)])
@@ -703,7 +747,7 @@ def test_once_per_distinct_argument_matches_oracle_bytes(scales, shifts, weights
         assert prods.tobytes() == oracle_prods.tobytes()
         assert phis.tobytes() == oracle_phis.tobytes()
     # a second h between depths, as finite_depth_residual takes at its last depth
-    terms = zip(calls, exact_terms(measure, xs), _exact_terms_loop_oracle(measure, xs))
+    terms = zip(calls, exact_terms(measure, xs, None), _exact_terms_loop_oracle(measure, xs))
     for hs, term, oracle in terms:
         for h in [{"g": g, "f": f}[name] for name in hs]:
             assert term(h).tobytes() == oracle(h).tobytes()
@@ -714,6 +758,19 @@ def test_once_per_distinct_argument_matches_oracle_bytes(scales, shifts, weights
         mc = _terms_mc(measure, xs, depth, 300, seed)
         for term, oracle in zip(mc, _terms_mc_per_path_oracle(measure, g, xs, depth, 300, seed)):
             assert term(g).tobytes() == oracle.tobytes()
+
+
+def test_exact_terms_match_loop_oracle_bytes_at_large_depths():
+    # from depth 8 a depth holds 45 groups x 2,049 frequencies, more than
+    # the 256 KiB from which numpy computes ``a * b`` with a temporary b in
+    # b's own memory, as b times a; complex multiply is not symmetric, so
+    # each product is taken phis first at every size
+    measure = rr.build_measure([(0.5, 1.0, 0.5), (0.25, -1.0, 0.25), (0.75, 0.5, 0.25)])
+    xs = np.linspace(0.0, 9.0, 2049)
+    g = rr.gaussian(0, 1) - rr.gaussian(1.5, 1)
+    for _, term, oracle in zip(range(9), exact_terms(measure, xs, None),
+                               _exact_terms_loop_oracle(measure, xs)):
+        assert term(g).tobytes() == oracle(g).tobytes()
 
 
 def test_lattice_groups_many_scales_like_rowwise_oracle():
@@ -895,7 +952,7 @@ class TestOncePerDistinctArgument:
         f = CountingFourier(rr.gaussian(0.5, 1))
         xs = np.linspace(0.0, 9.0, 37)
         previous, expected, groups = set(), [], 0
-        depths = zip(range(10), exact_terms(measure, xs), _lattice_rowwise_oracle(measure, xs))
+        depths = zip(range(10), exact_terms(measure, xs, None), _lattice_rowwise_oracle(measure, xs))
         for _, term, (prods, _) in depths:
             term(g)
             new = set(prods.tolist()) - previous
@@ -1045,7 +1102,7 @@ def test_moment_route_matches_direct_route_generated(atoms, parts, image, x_max,
     # which reads ghat's own Taylor polynomial from the closing depth on
     oracle = _MomentRouteOracle(g)
     direct, moment = np.zeros(points, complex), np.zeros(points, complex)
-    for n, term in zip(range(1, 61), exact_terms(measure, xs)):
+    for n, term in zip(range(1, 61), exact_terms(measure, xs, None)):
         value = term(g)
         direct += value
         moment += value if n < closure.depth else term(oracle)
@@ -1117,6 +1174,78 @@ def test_no_closure_keeps_direct_route_bytes(atoms, g, n_max, strategy):
     else:
         oracle, _ = _series_grid_mc_upfront(measure, g, xs, 0.0, n_max, 300, 4)
     assert values.tobytes() == oracle.tobytes()
+
+
+# Measures whose every scale is below 1 in modulus: one scale, mixed scales
+# and negative scales.  The lattice drops a frequency once its tail is
+# certified below rounding.
+CONTRACTING = st.lists(
+    st.tuples(st.sampled_from([-0.9, -0.6, -0.5, 0.25, 0.3, 0.5, 0.75, 0.9]),
+              st.floats(-2.0, 2.0), st.integers(1, 4)),
+    min_size=1, max_size=3,
+)
+KINDS = {
+    "indicator": lambda centre, width: rr.indicator(centre - width, centre + width),
+    "triangle": rr.triangle,
+    "gaussian": rr.gaussian,
+}
+
+
+def _unpruned_series_oracle(measure, g, xs, eps, n_max):
+    """Reference oracle: the exact series on the ascending ``xs >= 0`` with
+    every frequency carried to every depth (the former summation loop): its
+    report, and each depth's term and partial sum."""
+    terms, partial, small_run = [], [], 0
+    total = np.zeros(len(xs), dtype=complex)
+    for n, term in zip(range(1, n_max + 1), exact_terms(measure, xs, None)):
+        terms.append(term(g))
+        total = total + terms[-1]
+        partial.append(total)
+        last_max = float(np.max(np.abs(terms[-1])))
+        small_run = small_run + 1 if last_max < eps else 0
+        if small_run >= 3:
+            return rr.TruncationReport(n, last_max, True), terms, partial
+    return rr.TruncationReport(n_max, last_max, False), terms, partial
+
+
+@settings(max_examples=25, deadline=None)
+@given(atoms=CONTRACTING, kind=st.sampled_from(sorted(KINDS)), centre=st.floats(-2.0, 2.0),
+       width=st.floats(0.3, 2.0), x_max=st.sampled_from([6.0, 20.0, 1e9, 1e18]),
+       points=st.integers(2, 41), zero=st.booleans(), eps=st.sampled_from([1e-12, 1e-8, 1e-4]))
+# zero shifts: the phases are the group weights at every frequency
+@example(atoms=[(0.3, 0.0, 1), (0.5, 0.0, 1), (0.9, 0.0, 1)], kind="gaussian", centre=0.0,
+         width=1.0, x_max=20.0, points=41, zero=True, eps=1e-10)
+# 30 depths: from depth 28 the unpruned lattice holds over 16,384 cells a depth
+@example(atoms=[(0.9, 0.001, 4), (0.5, -0.286, 4), (-0.5, 0.0, 1)], kind="gaussian",
+         centre=1.7, width=0.333, x_max=6.0, points=38, zero=True, eps=1e-8)
+# one scale on a grid without 0: the last depths carry one live frequency
+@example(atoms=[(0.5, 1.0, 1), (0.5, 0.5, 1)], kind="gaussian", centre=0.0, width=1.0,
+         x_max=12.0, points=7, zero=False, eps=1e-12)
+def test_pruned_series_matches_unpruned_lattice_generated(atoms, kind, centre, width, x_max,
+                                                          points, zero, eps):
+    measure = _expanding_measure(atoms)
+    f = KINDS[kind](centre, width) - 0.5 * KINDS[kind](centre + 1.0, 1.5 * width)
+    g = rr.manufacture_inhomogeneity(measure, f)
+    xs = np.linspace(0.0 if zero else x_max / points, x_max, points)
+    values, report = rr.sum_series_grid(measure, g, xs, eps=eps, n_max=30)
+    live, budget = rr.spectrum._live(measure, g, xs, eps, 30)
+    assert budget == 1e-16 * g.l1_upper_bound()
+    oracle, terms, partial = _unpruned_series_oracle(measure, g, xs, eps, 30)
+    n = report.terms_used
+    if report.tail_bound is None:  # today's stop rule, read on the carried frequencies
+        assert (report.terms_used, report.converged) == (oracle.terms_used, oracle.converged)
+        assert report.last_term_max_abs <= oracle.last_term_max_abs
+    else:  # no x > 0 left: the unpruned series adds only terms below the budget
+        assert report.tail_bound == budget and live[n] <= zero and n <= oracle.terms_used
+    # the frequencies a depth carries (its live ones, and two at least) have
+    # the unpruned lattice's bytes
+    for cols, term, want in zip(live, exact_terms(measure, xs, live), terms[:n]):
+        value = term(g)
+        assert len(value) == max(cols, 2)
+        assert value.tobytes() == want[:len(value)].tobytes()
+    assert values[:live[n - 1]].tobytes() == partial[n - 1][:live[n - 1]].tobytes()
+    # a dropped frequency omits terms that sum to at most the budget
+    assert np.all(np.abs(values - partial[n - 1]) <= budget * (1.0 + 1e-9))
 
 
 class TestForwardCharfnProduct:
