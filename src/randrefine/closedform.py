@@ -396,12 +396,12 @@ class ClosedFormFn:
             return 0.0
         return math.fsum(w * prim.centre() for w, (_, prim) in zip(weights, self.terms)) / total
 
-    def moments(self, order: int, c: float = 0.0) -> np.ndarray:
+    def moments(self, order: int, c: float) -> np.ndarray:
         """``m_k = int (t - c)^k f(t) dt`` for k < order, in closed form, so
         ``fhat(y) = exp(i y c) sum_k (i y)^k m_k / k!``."""
         return self._moment_sum(order, c, signed=True)
 
-    def abs_moment_bounds(self, order: int, c: float = 0.0) -> np.ndarray:
+    def abs_moment_bounds(self, order: int, c: float) -> np.ndarray:
         """``M_k >= int |t - c|^k |f(t)| dt`` for k < order.  The Taylor
         remainder of ``exp(-i y c) fhat(y)`` after K terms is at most
         ``M_K |y|^K / K!``; ``M_0`` is :meth:`l1_upper_bound`."""

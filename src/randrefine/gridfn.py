@@ -131,29 +131,8 @@ class GridFn:
         return np.linspace(self.t_min, self.t_max, len(self.values))
 
     def __call__(self, t):
-        """``np.interp`` on :attr:`nodes`, byte for byte.
-
-        ``np.interp`` reads only the nodes around each probe and the ends,
-        so for fewer than n/32 finite probes only those are built, as
-        linspace builds them: ``k * step + t_min``, and ``t_max`` last.
-        Where :func:`linspace_index` is off by at most one node, the nodes
-        from one before to two after it hold the probe's bracket."""
-        t = np.asarray(t, dtype=float)
-        n = len(self.values)
-        few = 32 * t.size < n and np.all(np.isfinite(t))
-        j = linspace_index(t.ravel(), self.t_min, self.t_max, n) if few else None
-        if j is not None:
-            near = np.zeros(n, dtype=bool)
-            near[[0, -1]] = True
-            for d in (-1, 0, 1, 2):
-                near[np.clip(j + d, 0, n - 1)] = True
-            keep = np.flatnonzero(near)
-            nodes = keep * ((self.t_max - self.t_min) / (n - 1)) + self.t_min
-            nodes[-1] = self.t_max
-            values = self.values[keep]
-        else:  # also at NaN, where np.interp's answer depends on where its search ends
-            nodes, values = self.nodes, self.values
-        out = np.interp(t, nodes, values, left=self.left_value, right=self.right_value)
+        """``np.interp`` on :attr:`nodes`, with the constant ends outside."""
+        out = np.interp(t, self.nodes, self.values, left=self.left_value, right=self.right_value)
         return out if out.shape else float(out)
 
     @classmethod

@@ -188,10 +188,6 @@ class RegimeReport:
     regime: Regime
     forward_series_condition: bool   # expansive + no common fixed point
 
-    @property
-    def shift_nondegenerate(self) -> bool:
-        return not self.shift_degenerate
-
     def to_dict(self) -> dict:
         return {
             "mean_log_scale": self.mean_log_scale,

@@ -227,9 +227,6 @@ class PathLaw:
         out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
         return out if out.shape else float(out)
 
-    def scaled(self, factor: float) -> "PathLaw":
-        return PathLaw(self.values * factor, self.probs.copy(), self.depth)
-
 
 def state_walk(measure: RandomAffineMeasure):
     """Yield the exact law ``(prods, sums, weights)`` of the scale product

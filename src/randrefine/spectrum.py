@@ -571,14 +571,18 @@ def solve_spectrum(
 ) -> Spectrum:
     """Assemble the solution transform on ``x_grid`` for the given regime.
 
-    ``mass`` is the free value of the transform at 0: it must be finite
-    and 0 in the contractive regime (enforced).  A non-finite mass or
-    frequency raises ``ValueError`` before any work.  In the expansive
+    ``mass`` is the free value of the transform at 0.  In the expansive
     regime with nonzero shifts and mass the forward-limit factor comes from
     the exact product when the scale is deterministic (exact strategy) or
     from Monte Carlo estimation at :func:`estimate_charfn`'s default depth.
-    If every map fixes one point, the forward limit is the point mass there,
-    whose transform does not decay, so a nonzero mass is refused.
+
+    Every refusal of the problem itself comes before any series work: a
+    non-finite mass or frequency (``ValueError``), a g of nonzero mass
+    (``NonzeroMeanInhomogeneity``), the critical regime
+    (``CriticalRegime``), a nonzero mass in the contractive regime
+    (``MassMustBeZero``), and a nonzero mass in the expansive regime when
+    every map fixes one point (``RegimeMismatch``): the forward limit is
+    then the point mass there, whose transform does not decay.
     """
     if not math.isfinite(mass):
         raise ValueError(f"mass must be finite, got {mass!r}")
@@ -593,24 +597,24 @@ def solve_spectrum(
             "zero log-scale mean admits whole families of solutions; "
             "the solver refuses, the verifier still applies"
         )
+    contractive = report.regime is Regime.LOG_CONTRACTIVE
+    if contractive and mass != 0.0:
+        raise MassMustBeZero("contractive regime forces the solution mass to 0")
+    forward = not contractive and not report.shift_degenerate and mass != 0.0
+    if forward and not report.forward_series_condition:
+        raise RegimeMismatch(
+            f"every map fixes {-report.degeneracy_witness!r}; the forward limit is the "
+            "point mass there, whose transform does not decay, so only mass 0 solves"
+        )
 
     series, trunc = _sum_series(measure, g, xs, strategy, eps, n_max)
     ghat = g.fourier(xs)
 
-    if report.regime is Regime.LOG_CONTRACTIVE:
-        if mass != 0.0:
-            raise MassMustBeZero(
-                "contractive regime forces the solution mass to 0"
-            )
+    if contractive:
         values = series + ghat
-    elif report.shift_degenerate or mass == 0.0:
+    elif not forward:
         values = mass + series + ghat
     else:
-        if not report.forward_series_condition:
-            raise RegimeMismatch(
-                f"every map fixes {-report.degeneracy_witness!r}; the forward limit is the "
-                "point mass there, whose transform does not decay, so only mass 0 solves"
-            )
         if isinstance(strategy, MonteCarloStrategy):
             est = estimate_charfn(measure, xs, strategy.sample_count, rng_seed=strategy.seed)
             factor = est.charfn_values
@@ -659,18 +663,13 @@ def _chirp_z(values_w, x0, dx, t0, dt, m):
     return conv * np.exp(-1j * (x0 * dt * j + 0.5 * a * j * j))
 
 
-def invert_spectrum(
-    spec: Spectrum,
-    t_grid,
-    *,
-    check_leakage: bool = True,
-) -> GridFn:
+def invert_spectrum(spec: Spectrum, t_grid) -> GridFn:
     """Trapezoid inverse transform ``f(t) = (1/2 pi) int exp(-i t x) fhat``.
 
-    The frequency grid must be symmetric and uniform and, unless
-    ``check_leakage`` is disabled, carry edge magnitudes below 1e-3 of the
-    peak so the cut tail is negligible.  The imaginary part left over after
-    inversion must stay below 1e-3 of the recovered L1 scale.
+    The frequency grid must be symmetric and uniform and carry edge
+    magnitudes below 1e-3 of the peak, so the cut tail is negligible;
+    otherwise ``SpectralLeakage`` is raised.  The imaginary part left over
+    after inversion must stay below 1e-3 of the recovered L1 scale.
 
     The trapezoid sum between the two uniform grids is a chirp-z transform,
     evaluated with FFTs in O((n + m) log(n + m)) for n frequencies and m
@@ -686,7 +685,7 @@ def invert_spectrum(
     if peak == 0.0:
         return GridFn(ts[0], ts[-1], dt, np.zeros(len(ts)), 0.0, 0.0)
     edge = max(abs(vals[0]), abs(vals[-1]))
-    if check_leakage and edge >= 1e-3 * peak:
+    if edge >= 1e-3 * peak:
         raise SpectralLeakage(
             f"edge magnitude {edge:.3e} vs peak {peak:.3e}: widen the frequency window"
         )

@@ -503,4 +503,4 @@ class TestMoments:
         for c in (0.0, fn.centre()):
             quad, _ = _moment_quadrature(fn, c, 13)
             assert np.all(np.abs(fn.moments(13, c) - quad) <= 1e-6 * fn.abs_moment_bounds(13, c))
-        assert fn.moments(1)[0] == pytest.approx(fn.mass(), abs=1e-15 * fn.l1_upper_bound())
+        assert fn.moments(1, 0.0)[0] == pytest.approx(fn.mass(), abs=1e-15 * fn.l1_upper_bound())

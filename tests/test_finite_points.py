@@ -85,3 +85,23 @@ def test_finite_points_rule():
         finite_points([[0.0], [1.0]], "x")
     with pytest.raises(ValueError, match=re.escape("v must be finite, got (1+nanj) at index 1")):
         finite_points([0j, complex(1, math.nan)], "v", complex)
+
+
+# Neither measure admits a nonzero mass: the four-scale one is contractive,
+# with an exact series of many depths, and the maps of the other share a
+# fixed point.
+FOUR_SCALES = rr.build_measure([(0.3, 0, 0.25), (0.5, 0, 0.25), (0.7, 0, 0.25), (0.9, 0, 0.25)])
+COMMON_FIXED_POINT = rr.build_measure([(2, 1, 0.5), (3, 2, 0.5)])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-10])
+@pytest.mark.parametrize("strategy", [rr.EXACT, rr.MonteCarloStrategy(100, seed=1)],
+                         ids=["exact", "mc"])
+@pytest.mark.parametrize("measure, error", [
+    (FOUR_SCALES, rr.MassMustBeZero),
+    (COMMON_FIXED_POINT, rr.RegimeMismatch),
+], ids=["contractive", "common-fixed-point"])
+def test_nonzero_mass_refused_before_the_series(no_work, measure, error, strategy, eps):
+    xs = rr.symmetric_grid(40.0, 4097)
+    with pytest.raises(error):
+        rr.solve_spectrum(measure, G, 1.0, xs, strategy, eps=eps)

@@ -148,7 +148,7 @@ class TestClassifyRegime:
     def test_doubling_is_expansive_nondegenerate(self):
         rep = rr.classify_regime(rr.build_measure([(2, 0, 0.5), (2, 1, 0.5)]))
         assert rep.regime is rr.Regime.LOG_EXPANSIVE
-        assert rep.shift_nondegenerate
+        assert not rep.shift_degenerate
         assert rep.forward_series_condition
 
     def test_halving_is_contractive_and_mean_contractive(self):
@@ -185,7 +185,7 @@ class TestClassifyRegime:
             m = rr.build_measure([(ls[0], ms[0], 0.5), (ls[1], ms[1], 0.5)])
             rep = rr.classify_regime(m)
             if rep.no_common_fixed_point:
-                assert rep.shift_nondegenerate
+                assert not rep.shift_degenerate
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,8 +8,6 @@ from pathlib import Path
 import randrefine
 
 _OPTIONS = {
-    ("closedform.ClosedFormFn.moments", "c"),
-    ("closedform.ClosedFormFn.abs_moment_bounds", "c"),
     ("gridfn.finite_points", "dtype"),
     ("gridfn.GridFn.from_function", "left_value"),
     ("gridfn.GridFn.from_function", "right_value"),
@@ -27,7 +25,6 @@ _OPTIONS = {
     ("spectrum.solve_spectrum", "eps"),
     ("spectrum.solve_spectrum", "n_max"),
     ("spectrum.solve_spectrum", "regime_report"),
-    ("spectrum.invert_spectrum", "check_leakage"),
 }
 
 
@@ -54,6 +51,6 @@ def _defaulted_parameters():
     return found
 
 
-def test_defaulted_public_parameters_are_the_listed_twenty():
-    assert len(_OPTIONS) == 20
+def test_defaulted_public_parameters_are_the_listed_seventeen():
+    assert len(_OPTIONS) == 17
     assert _defaulted_parameters() == _OPTIONS

@@ -520,9 +520,8 @@ class TestEnumeratePaths:
             lam = m.scales[0]
             for depth in (1, 3, 6):
                 fwd = rr.enumerate_paths(m, depth, "forward")
-                bwd = rr.enumerate_paths(m, depth, "backward").scaled(
-                    -float(lam) ** -depth
-                )
+                law = rr.enumerate_paths(m, depth, "backward")
+                bwd = rr.PathLaw(law.values * -float(lam) ** -depth, law.probs, depth)
                 assert np.allclose(fwd.values, bwd.values, atol=1e-12)
                 assert np.allclose(fwd.probs, bwd.probs, atol=1e-12)
 

@@ -77,8 +77,8 @@ class TestGridFn:
     @example(n=301, t_min=-1.3, width=2.9, seed=0)
     def test_matches_interp_on_linspace_nodes_bytes(self, n, t_min, width, seed):
         # probes off, on and one ulp either side of nodes, at both ends and
-        # outside the window; in groups of 8, fewer than n/32 probes build
-        # only the nodes around them
+        # outside the window, all at once, as a 2-D array, in groups of 8
+        # and one alone
         t_max = t_min + width
         assume(t_min < t_max)
         try:

@@ -1107,7 +1107,7 @@ def test_moment_route_matches_direct_route_generated(atoms, parts, image, x_max,
         direct += value
         moment += value if n < closure.depth else term(oracle)
     q = measure.weights @ np.abs(measure.scales) ** -1.0
-    remainder = g.abs_moment_bounds(2)[1] * x_max * q ** 61 / (1.0 - q)
+    remainder = g.abs_moment_bounds(2, 0.0)[1] * x_max * q ** 61 / (1.0 - q)
     # rounding: 64 ulps of ||g||_1 per depth summed
     rounding = 64 * 60 * np.finfo(float).eps * g.l1_upper_bound()
     assert np.max(np.abs(values - direct)) <= report.tail_bound + remainder + rounding
@@ -1420,20 +1420,15 @@ class TestInvertSpectrum:
         rec = rr.invert_spectrum(spec, np.linspace(-1, 1, 21))
         assert np.all(rec.values == 0.0)
 
-    def test_step_pair_round_trip_with_override(self):
+    def test_step_pair_refused_for_leakage(self):
         # 1/x spectrum decay keeps the edge above the leakage gate at this
-        # window; overriding reproduces the known Gibbs-limited accuracy
+        # window
         f = rr.indicator(0, 1) - rr.indicator(1, 2)
         xs = np.linspace(-200, 200, 8192)
         spec = rr.Spectrum(xs, f.fourier(xs), 0.0, rr.TruncationReport(0, 0, True))
         ts = np.linspace(-2.0, 4.0, 6001)
         with pytest.raises(rr.SpectralLeakage):
             rr.invert_spectrum(spec, ts)
-        rec = rr.invert_spectrum(spec, ts, check_leakage=False)
-        l1 = np.trapezoid(np.abs(rec.values - f(ts)), ts)
-        # frozen from a grid-converged run; scales like log(width)/width of
-        # the frequency window (4 unit jumps)
-        assert l1 == pytest.approx(0.0515, rel=0.05)
 
     def test_leakage_gate(self):
         f = rr.gaussian(0, 1)
